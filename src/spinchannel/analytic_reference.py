@@ -27,9 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dp45 import DormandPrince45
 from .hybrid_dynamics import (CUM_DRIFT_LIMIT, IntegrationError, RENORM_THRESHOLD,
-                              build_spin_hamiltonian)
+                              _integrate_sampled, build_spin_hamiltonian)
 from .spin_algebra import SpinParams, embed, expectation, pauli
 
 __all__ = [
@@ -164,40 +163,33 @@ def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinP
         raise ValueError("psi0 is not normalized")
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        psi = y.copy().view(complex)
         x1, x2 = traj(t)
-        H = build_spin_hamiltonian(x1, x2, sp)
-        return (-1j * (H @ psi)).view(float)
+        return (-1j * (build_spin_hamiltonian(x1, x2, sp) @ y.view(complex))).view(float)
 
     n_out = max(1, round((t_end - t0) / dt_out))
     t_grid = t0 + (t_end - t0) * np.arange(n_out + 1) / n_out
     coeffs = np.empty((n_out + 1, 4), dtype=complex)
     coeffs[0] = psi0
-    next_k = 1
     cum_drift = 0.0
     max_drift = 0.0
 
-    stepper = DormandPrince45(rhs, t0, psi0.view(float).copy(), t_end, rtol=tol, atol=tol)
-    try:
-        while stepper.step():
-            while next_k <= n_out and t_grid[next_k] <= stepper.t + 1e-12 * max(1.0, abs(stepper.t)):
-                psi = stepper.interpolate(t_grid[next_k]).copy().view(complex)
-                nrm = np.linalg.norm(psi)
-                coeffs[next_k] = psi / nrm if abs(nrm - 1.0) > RENORM_THRESHOLD else psi
-                next_k += 1
-            psi = stepper.y.copy().view(complex)
-            drift = abs(np.linalg.norm(psi) - 1.0)
-            max_drift = max(max_drift, drift)
-            cum_drift += drift
-            if cum_drift > CUM_DRIFT_LIMIT:
-                raise IntegrationError(
-                    f"accumulated norm drift {cum_drift:.3e} exceeds {CUM_DRIFT_LIMIT:.1e}")
-            if drift > RENORM_THRESHOLD:
-                stepper.replace_state((psi / np.linalg.norm(psi)).view(float))
-    except IntegrationError:
-        raise
-    except Exception as exc:
-        raise IntegrationError(f"propagation failed at t = {stepper.t}: {exc}") from exc
+    def sample(k: int, y: np.ndarray) -> None:
+        psi = y.view(complex)
+        nrm = np.linalg.norm(psi)
+        coeffs[k] = psi / nrm if abs(nrm - 1.0) > RENORM_THRESHOLD else psi
+
+    def correct(y: np.ndarray) -> np.ndarray | None:
+        nonlocal cum_drift, max_drift
+        psi = y.view(complex)
+        drift = abs(np.linalg.norm(psi) - 1.0)
+        max_drift = max(max_drift, drift)
+        cum_drift += drift
+        if cum_drift > CUM_DRIFT_LIMIT:
+            raise IntegrationError(
+                f"accumulated norm drift {cum_drift:.3e} exceeds {CUM_DRIFT_LIMIT:.1e}")
+        return (psi / np.linalg.norm(psi)).view(float) if drift > RENORM_THRESHOLD else None
+
+    _integrate_sampled(rhs, psi0.view(float), t_grid, t_end, tol, sample, correct)
     return CoefficientSeries(t=t_grid, coefficients=coeffs, max_norm_drift=max_drift)
 
 

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .config import (ConfigError, PRESETS, ScenarioConfig, parse_config,
-                     preset_config, preset_names, SCHEMA)
+                     preset_config, preset_names, resolve_field)
 from .hybrid_dynamics import IntegrationError, RegimeError
 from .runner import run_scenario, sweep, write_output
 
@@ -61,22 +61,11 @@ def _apply_set(cfg: ScenarioConfig, assignment: str) -> ScenarioConfig:
     if "=" not in assignment:
         raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
     key, value = (part.strip() for part in assignment.split("=", 1))
-    if "." in key:
-        section, bare = key.split(".", 1)
-        try:
-            attr, caster = SCHEMA[section][bare]
-        except KeyError:
-            raise ConfigError(f"--set: unknown config field {key!r}") from None
-    else:
-        matches = [(sec, k, attr, caster) for sec, keys in SCHEMA.items()
-                   for k, (attr, caster) in keys.items() if k == key]
-        if not matches:
-            raise ConfigError(f"--set: unknown config field {key!r}")
-        if len(matches) > 1:
-            options = ", ".join(f"{m[0]}.{m[1]}" for m in matches)
-            raise ConfigError(f"--set: ambiguous field {key!r}; use one of: {options}")
-        _, _, attr, caster = matches[0]
-    return replace(cfg, **{attr: caster(value)})
+    try:
+        attr, caster = resolve_field(key)
+        return replace(cfg, **{attr: caster(value)})
+    except ConfigError as exc:
+        raise ConfigError(f"--set {key}: {exc}") from None
 
 
 def _load_config(args) -> ScenarioConfig:

@@ -19,7 +19,7 @@ from .quantum_channel import QuantumChannelParams
 from .spin_algebra import SpinParams, basis_state, bell_phi_minus
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "render_config",
-           "PRESETS", "preset_names", "preset_config"]
+           "resolve_field", "PRESETS", "preset_names", "preset_config"]
 
 
 class ConfigError(ValueError):
@@ -28,16 +28,16 @@ class ConfigError(ValueError):
 
 def _float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+    return tuple(_float(part) for part in text.split(","))
 
 
 def _str(text: str) -> str:
@@ -87,6 +87,24 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "output": {"path": ("out_path", _str), "format": ("out_format", _str)},
 }
+
+
+def resolve_field(key: str) -> tuple[str, object]:
+    """Map 'section.key' or an unambiguous bare key to its (ScenarioConfig
+    attribute, caster) pair."""
+    if "." in key:
+        section, bare = key.split(".", 1)
+        matches = [(section, bare)] if bare in SCHEMA.get(section, {}) else []
+    else:
+        matches = [(section, key) for section, keys in SCHEMA.items() if key in keys]
+    if not matches:
+        raise ConfigError(f"unknown config field {key!r}")
+    if len(matches) > 1:
+        options = ", ".join(f"{section}.{bare}" for section, bare in matches)
+        raise ConfigError(f"ambiguous field {key!r}; qualify as one of: {options}")
+    section, bare = matches[0]
+    return SCHEMA[section][bare]
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -195,6 +213,12 @@ class ScenarioConfig:
         return 0.05
 
     def validate(self) -> "ScenarioConfig":
+        for section, keys in SCHEMA.items():
+            for key, (attr, _) in keys.items():
+                value = getattr(self, attr)
+                values = value if isinstance(value, tuple) else (value,)
+                if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                    raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
         if self.kind not in ("hybrid", "quantum"):
             raise ConfigError(f"kind must be 'hybrid' or 'quantum', got {self.kind!r}")
         if self.out_format not in ("csv", "json"):

@@ -2,16 +2,19 @@
 
 The classical coordinates obey driven, damped Duffing equations with a linear
 inter-oscillator coupling; each oscillator additionally feels the mean-field
-back-action g<S^z> of its spin.  The two-spin wavefunction evolves under the
-position-dependent spin Hamiltonian, and the accumulated propagator U(t) is
-integrated alongside.  Because that Hamiltonian is a sum of single-site
-terms, U(t) stays a tensor product of 2x2 propagators; both factors are
-co-integrated so the product structure can be checked sample by sample.
+back-action g<S^z> of its spin.  The integrated state is the classical phase
+space and the accumulated two-spin propagator U(t) under the
+position-dependent spin Hamiltonian, 4 + 32 reals; the wavefunction
+psi(t) = U(t) U(t0)^dagger psi0 is derived from it wherever it is needed.
+Because that Hamiltonian is a sum of single-site terms, U(t) stays a
+Kronecker product u1 (x) u2 of 2x2 propagators.  That property is checked,
+not assumed: every sample records the Frobenius distance of U from the
+nearest Kronecker product (``separability_defect``).
 
 Integration uses the adaptive Dormand-Prince 5(4) pair with dense output at
 a uniform sampling interval.  After every accepted step the wavefunction
 norm and the propagator unitarity defect are recorded and, above a small
-threshold, projected back onto the constraint manifold; runs abort if the
+threshold, U is replaced by its polar factor; runs abort if the
 accumulated drift ever exceeds ``CUM_DRIFT_LIMIT`` so a silently inaccurate
 integration cannot masquerade as physics.
 """
@@ -41,12 +44,13 @@ __all__ = [
     "site_hamiltonian",
     "connectivity",
     "derivative",
+    "separability_defect",
     "integrate",
     "classical_energy",
     "energy_budget",
 ]
 
-RENORM_THRESHOLD = 1e-12   # per-step defect above which psi / U are projected
+RENORM_THRESHOLD = 1e-12   # per-step defect above which U is projected
 CUM_DRIFT_LIMIT = 1e-6     # run is aborted if accumulated drift exceeds this
 
 _I2 = np.eye(2, dtype=complex)
@@ -177,8 +181,8 @@ class TimeSeries:
     expectations, the OTOC and two-point correlator of the configured probe
     pair, and the three energy contributions.  ``psis``/``Us`` keep the
     sampled quantum state for downstream analysis; ``sep_defect`` is the
-    Frobenius-norm deviation of U from the product of the co-integrated
-    2x2 propagators.
+    Frobenius distance of U from the nearest Kronecker product of 2x2
+    matrices.
     """
 
     t: np.ndarray
@@ -254,53 +258,70 @@ def derivative(s: HybridState, op: OscParams, sp: SpinParams,
     if regime is not None:
         regime.validate(op)
     H = build_spin_hamiltonian(s.x1, s.x2, sp)
-    S1 = embed(sp.site_operator(), 1)
-    S2 = embed(sp.site_operator(), 2)
-    f1 = _real_expectation(s.psi, S1)
-    f2 = _real_expectation(s.psi, S2)
-    drive = op.F * math.cos(op.Omega * s.t)
-    a1 = (-2.0 * op.gamma * s.v1 - op.xi * s.x1**3 + drive
-          - op.omega1**2 * s.x1 - op.D * (s.x1 - s.x2) - sp.g * f1)
-    a2 = (-2.0 * op.gamma * s.v2 - op.xi * s.x2**3 + drive
-          - op.omega2**2 * s.x2 + op.D * (s.x1 - s.x2) - sp.g * f2)
+    f1 = _real_expectation(s.psi, embed(sp.site_operator(), 1))
+    f2 = _real_expectation(s.psi, embed(sp.site_operator(), 2))
+    a1, a2 = _accelerations(op, sp.g, s.t, s.x1, s.v1, s.x2, s.v2, f1, f2)
     return HybridState(t=s.t, x1=s.v1, v1=a1, x2=s.v2, v2=a2,
                        psi=-1j * (H @ s.psi), U=-1j * (H @ s.U))
+
+
+def _accelerations(op: OscParams, g: float, t: float, x1: float, v1: float,
+                   x2: float, v2: float, f1: float, f2: float) -> tuple[float, float]:
+    """Oscillator accelerations: damped, driven Duffing forces, the linear
+    coupling, and the mean-field back-action -g f_i with f_i = <S_i^z>."""
+    drive = op.F * math.cos(op.Omega * t)
+    a1 = (-2.0 * op.gamma * v1 - op.xi * x1**3 + drive
+          - op.omega1**2 * x1 - op.D * (x1 - x2) - g * f1)
+    a2 = (-2.0 * op.gamma * v2 - op.xi * x2**3 + drive
+          - op.omega2**2 * x2 + op.D * (x1 - x2) - g * f2)
+    return a1, a2
 
 
 def _real_expectation(psi: np.ndarray, op: np.ndarray) -> float:
     return float(np.vdot(psi, op @ psi).real)
 
 
-# -- packed-vector helpers for the integrator --------------------------------
-# Layout: [x1, v1, x2, v2 | Re/Im psi (8) | Re/Im U (32) | Re/Im u1 (8) | Re/Im u2 (8)]
-
-_N_PACKED = 60
-
-
-def _pack(x: np.ndarray, psi: np.ndarray, U: np.ndarray,
-          u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    y = np.empty(_N_PACKED)
-    y[0:4] = x
-    y[4:12] = psi.view(float)
-    y[12:44] = U.reshape(-1).view(float)
-    y[44:52] = u1.reshape(-1).view(float)
-    y[52:60] = u2.reshape(-1).view(float)
-    return y
-
-
-def _unpack(y: np.ndarray):
-    x = y[0:4]
-    psi = y[4:12].copy().view(complex)
-    U = y[12:44].copy().view(complex).reshape(4, 4)
-    u1 = y[44:52].copy().view(complex).reshape(2, 2)
-    u2 = y[52:60].copy().view(complex).reshape(2, 2)
-    return x, psi, U, u1, u2
+def separability_defect(U: np.ndarray) -> float:
+    """Frobenius distance of a 4x4 matrix from the nearest Kronecker product
+    A (x) B of 2x2 matrices: realigned as R[(i,k),(j,l)] = U[(i,j),(k,l)],
+    A (x) B becomes the rank-one vec(A) vec(B)^T, and the distance is the norm
+    of all but the leading singular value of R (Van Loan & Pitsianis 1993)."""
+    R = np.asarray(U).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    s = np.linalg.svd(R, compute_uv=False)
+    return math.sqrt(float(np.sum(s[1:] ** 2)))
 
 
 def _polar_projection(U: np.ndarray) -> np.ndarray:
     """Nearest unitary matrix (polar factor)."""
     w, _, vh = np.linalg.svd(U)
     return w @ vh
+
+
+def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float,
+                       sample, correct) -> DormandPrince45:
+    """Drive the adaptive DP45 from t_grid[0] to t_end.
+
+    ``sample(k, y)`` receives the dense output at each later grid time;
+    ``correct(y)`` receives every accepted state, records its invariants and
+    returns a corrected state to substitute, or None to keep it.  Failures
+    other than IntegrationError are re-raised as IntegrationError.
+    """
+    stepper = DormandPrince45(rhs, t_grid[0], y0, t_end, rtol=tol, atol=tol)
+    next_k = 1
+    try:
+        while stepper.step():
+            while next_k < t_grid.size and \
+                    t_grid[next_k] <= stepper.t + 1e-12 * max(1.0, abs(stepper.t)):
+                sample(next_k, stepper.interpolate(t_grid[next_k]))
+                next_k += 1
+            y_corr = correct(stepper.y)
+            if y_corr is not None:
+                stepper.replace_state(y_corr)
+    except IntegrationError:
+        raise
+    except Exception as exc:
+        raise IntegrationError(f"integration failed at t = {stepper.t}: {exc}") from exc
+    return stepper
 
 
 def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
@@ -330,34 +351,34 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     if otoc_ops is None:
         otoc_ops = (embed(pauli("z"), 1), embed(pauli("z"), 2))
     W, V = otoc_ops
+    U0 = np.asarray(initial.U, dtype=complex)
+    # psi(t) = U(t) phi0 with psi(t0) = psi0
+    phi0 = U0.conj().T @ psi0
 
-    w0, g, Snv = sp.omega0, sp.g, sp.site_operator()
+    g, Snv = sp.g, sp.site_operator()
     S1, S2 = embed(Snv, 1), embed(Snv, 2)
-    Z4 = 0.5 * w0 * (embed(_SZ, 1) + embed(_SZ, 2))
-    Z2 = 0.5 * w0 * _SZ
-    w1sq, w2sq = op.omega1**2, op.omega2**2
-    D, xi, gamma, F, Om = op.D, op.xi, op.gamma, op.F, op.Omega
+    Z4 = 0.5 * sp.omega0 * (embed(_SZ, 1) + embed(_SZ, 2))
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x, psi, U, u1, u2 = _unpack(y)
-        x1, v1, x2, v2 = x
+        x1, v1, x2, v2 = y[:4]
+        U = y[4:].view(complex).reshape(4, 4)
+        psi = U @ phi0
+        a1, a2 = _accelerations(op, g, t, x1, v1, x2, v2,
+                                np.vdot(psi, S1 @ psi).real, np.vdot(psi, S2 @ psi).real)
         H = Z4 + (g * x1) * S1 + (g * x2) * S2
-        f1 = np.vdot(psi, S1 @ psi).real
-        f2 = np.vdot(psi, S2 @ psi).real
-        drive = F * math.cos(Om * t)
-        a1 = -2.0 * gamma * v1 - xi * x1**3 + drive - w1sq * x1 - D * (x1 - x2) - g * f1
-        a2 = -2.0 * gamma * v2 - xi * x2**3 + drive - w2sq * x2 + D * (x1 - x2) - g * f2
-        h1 = Z2 + (g * x1) * Snv
-        h2 = Z2 + (g * x2) * Snv
-        return _pack(np.array([v1, a1, v2, a2]), -1j * (H @ psi), -1j * (H @ U),
-                     -1j * (h1 @ u1), -1j * (h2 @ u2))
+        dy = np.empty_like(y)
+        dy[:4] = v1, a1, v2, a2
+        dy[4:] = (-1j * (H @ U)).reshape(-1).view(float)
+        return dy
 
     diag = IntegrationDiagnostics()
 
     def project(y: np.ndarray, record_step: bool):
-        """Record invariant drift and project psi/U/u1/u2 back; returns
-        (corrected y, whether anything changed)."""
-        x, psi, U, u1, u2 = _unpack(y)
+        """Record the norm drift of psi and the unitarity defect of U and,
+        above RENORM_THRESHOLD, replace U by its polar factor; returns
+        (U, psi, the corrected state or None if U was kept)."""
+        U = y[4:].view(complex).reshape(4, 4)
+        psi = U @ phi0
         drift = abs(np.linalg.norm(psi) - 1.0)
         udef = float(np.abs(U.conj().T @ U - _I4).max())
         if record_step:
@@ -372,18 +393,10 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
         else:
             diag.max_output_norm_drift = max(diag.max_output_norm_drift, drift)
             diag.max_output_unitarity_defect = max(diag.max_output_unitarity_defect, udef)
-        changed = False
-        if drift > RENORM_THRESHOLD:
-            psi = psi / np.linalg.norm(psi)
-            changed = True
-        if udef > RENORM_THRESHOLD:
-            U = _polar_projection(U)
-            u1 = _polar_projection(u1)
-            u2 = _polar_projection(u2)
-            changed = True
-        if changed:
-            y = _pack(x, psi, U, u1, u2)
-        return y, (x, psi, U, u1, u2), changed
+        if drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
+            return U, psi, None
+        U = _polar_projection(U)
+        return U, U @ phi0, np.concatenate((y[:4], U.reshape(-1).view(float)))
 
     if t_end == initial.t:
         n_out = 0
@@ -392,7 +405,6 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
         n_out = max(1, round((t_end - initial.t) / dt_out))
         t_grid = initial.t + (t_end - initial.t) * np.arange(n_out + 1) / n_out
 
-    t = np.empty(n_out + 1)
     cols = {name: np.empty(n_out + 1) for name in
             ("x1", "v1", "x2", "v2", "s1x", "s1y", "s1z", "s2x", "s2y", "s2z",
              "otoc", "h0", "h_nv", "v_int", "sep_defect")}
@@ -400,55 +412,38 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     psis = np.empty((n_out + 1, 4), dtype=complex)
     Us = np.empty((n_out + 1, 4, 4), dtype=complex)
 
-    def emit(k: int, tk: float, parts):
-        x, psi, U, u1, u2 = parts
-        x1, v1, x2, v2 = x
-        t[k] = tk
+    def emit(k: int, y: np.ndarray) -> None:
+        U, psi, _ = project(y, record_step=False)
+        x1, v1, x2, v2 = y[:4]
         cols["x1"][k], cols["v1"][k], cols["x2"][k], cols["v2"][k] = x1, v1, x2, v2
         for name, sop in zip(("s1x", "s1y", "s1z", "s2x", "s2y", "s2z"), _SIGMA_OPS):
             cols[name][k] = np.vdot(psi, sop @ psi).real
-        rec = correlators.otoc_product(U, psi0, W, V, t=tk)
+        rec = correlators.otoc_product(U, psi0, W, V, t=t_grid[k])
         cols["otoc"][k] = rec.C
         two_pt[k] = rec.G2
         f1 = np.vdot(psi, S1 @ psi).real
         f2 = np.vdot(psi, S2 @ psi).real
-        state = HybridState(t=tk, x1=x1, v1=v1, x2=x2, v2=v2, psi=psi, U=U)
+        state = HybridState(t=t_grid[k], x1=x1, v1=v1, x2=x2, v2=v2, psi=psi, U=U)
         cols["h0"][k] = classical_energy(state, op)
         cols["h_nv"][k] = np.vdot(psi, Z4 @ psi).real
         cols["v_int"][k] = g * x1 * f1 + g * x2 * f2
-        cols["sep_defect"][k] = np.linalg.norm(U - np.kron(u1, u2), "fro")
+        cols["sep_defect"][k] = separability_defect(U)
         psis[k] = psi
         Us[k] = U
 
-    y0 = _pack(np.array([initial.x1, initial.v1, initial.x2, initial.v2]),
-               psi0, np.asarray(initial.U, dtype=complex).copy(), _I2.copy(), _I2.copy())
-    _, parts_last, _ = project(y0.copy(), record_step=False)
-    emit(0, t_grid[0], parts_last)
-    next_k = 1
-
+    y0 = np.concatenate(([initial.x1, initial.v1, initial.x2, initial.v2],
+                         U0.reshape(-1).view(float)))
+    emit(0, y0)
     if n_out >= 1:
-        stepper = DormandPrince45(rhs, initial.t, y0, t_end, rtol=tol, atol=tol)
-        try:
-            while stepper.step():
-                while next_k <= n_out and t_grid[next_k] <= stepper.t + 1e-12 * max(1.0, abs(stepper.t)):
-                    tk = t_grid[next_k]
-                    _, parts_last, _ = project(stepper.interpolate(tk), record_step=False)
-                    emit(next_k, tk, parts_last)
-                    next_k += 1
-                y_corr, _, changed = project(stepper.y.copy(), record_step=True)
-                if changed:
-                    stepper.replace_state(y_corr)
-        except IntegrationError:
-            raise
-        except Exception as exc:
-            raise IntegrationError(f"integration failed at t = {stepper.t}: {exc}") from exc
+        stepper = _integrate_sampled(rhs, y0, t_grid, t_end, tol, emit,
+                                     lambda y: project(y, record_step=True)[2])
         diag.n_steps = stepper.n_steps
         diag.n_rejected = stepper.n_rejected
 
-    xf, psif, Uf, _, _ = parts_last
-    final = HybridState(t=t_grid[-1], x1=float(xf[0]), v1=float(xf[1]),
-                        x2=float(xf[2]), v2=float(xf[3]), psi=psif, U=Uf)
-    return TimeSeries(t=t, x1=cols["x1"], v1=cols["v1"], x2=cols["x2"], v2=cols["v2"],
+    final = HybridState(t=t_grid[-1], x1=float(cols["x1"][-1]), v1=float(cols["v1"][-1]),
+                        x2=float(cols["x2"][-1]), v2=float(cols["v2"][-1]),
+                        psi=psis[-1].copy(), U=Us[-1].copy())
+    return TimeSeries(t=t_grid, x1=cols["x1"], v1=cols["v1"], x2=cols["x2"], v2=cols["v2"],
                       s1x=cols["s1x"], s1y=cols["s1y"], s1z=cols["s1z"],
                       s2x=cols["s2x"], s2y=cols["s2y"], s2z=cols["s2z"],
                       otoc=cols["otoc"], two_point=two_pt,

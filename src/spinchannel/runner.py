@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum_channel as qc
-from .config import SCHEMA, ConfigError, ScenarioConfig, render_config, _float, _float_list
+from .config import (ConfigError, ScenarioConfig, render_config, resolve_field, _float,
+                     _float_list)
 from .hybrid_dynamics import HybridState, Regime, TimeSeries, integrate
 from .spin_algebra import bell_phi_minus, expm_hermitian
 
@@ -112,35 +113,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                      diagnostics=diagnostics, wall_time_s=time.perf_counter() - start)
 
 
-def _resolve_parameter(parameter: str) -> str:
-    """Map 'section.key' or a bare unambiguous key to a config attribute."""
-    if "." in parameter:
-        section, key = parameter.split(".", 1)
-        try:
-            attr, caster = SCHEMA[section][key]
-        except KeyError:
-            raise ConfigError(f"unknown config field {parameter!r}") from None
-    else:
-        matches = [(sec, key, attr, caster) for sec, keys in SCHEMA.items()
-                   for key, (attr, caster) in keys.items() if key == parameter]
-        if not matches:
-            raise ConfigError(f"unknown config field {parameter!r}")
-        if len(matches) > 1:
-            options = ", ".join(f"{m[0]}.{m[1]}" for m in matches)
-            raise ConfigError(f"ambiguous field {parameter!r}; qualify as one of: {options}")
-        _, _, attr, caster = matches[0]
-    if caster not in (_float, _float_list):
-        raise ConfigError(f"{parameter!r} is not a numeric field")
-    return attr
-
-
 def sweep(cfg: ScenarioConfig, parameter: str, values: list[float]) -> list[RunResult]:
     """Run the scenario once per value of a numeric config field.
 
     Results preserve the order of ``values``; runs are independent (a run
     failure propagates with the offending value named).
     """
-    attr = _resolve_parameter(parameter)
+    attr, caster = resolve_field(parameter)
+    if caster not in (_float, _float_list):
+        raise ConfigError(f"{parameter!r} is not a numeric field")
     results = []
     for value in values:
         if not isinstance(value, (int, float)):

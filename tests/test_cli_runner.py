@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ class TestParseConfig:
         text = "[scenario]\nname = fig2\n[oscillators]\nD = 3.0\n"
         with pytest.raises(ConfigError, match="inconsistent coupling"):
             parse_config(text)
+
+    def test_non_finite_values_rejected(self):
+        text = "[scenario]\nname = fig5\n[oscillators]\nF = 0.5\nK = nan\n"
+        with pytest.raises(ConfigError, match="line 5: oscillators.K: expected a finite number"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match="line 4: quantum.n: expected a finite number"):
+            parse_config("[scenario]\nname = fig8\n[quantum]\nn = 10,inf\n")
+        with pytest.raises(ConfigError, match="oscillators.K must be finite"):
+            short(preset_config("fig2"), K=math.nan).validate()
 
     def test_missing_required_coupling(self):
         text = "[scenario]\nname = custom\nkind = hybrid\n[run]\nt_end = 1\n"
@@ -323,6 +333,28 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "base_K_0.1.csv").exists()
         assert (tmp_path / "base_K_10.csv").exists()
+
+    def test_unknown_set_key(self, capsys):
+        code = main(["run", "--scenario", "fig2", "--set", "oscillators.mass=2"])
+        assert code == 2
+        assert "unknown config field" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "fig2", "--set", "K=nan", "--t-end", "1"],
+        ["run", "--scenario", "fig2", "--set", "x1=inf", "--t-end", "1"],
+        ["run", "--scenario", "fig2", "--tol", "nan", "--t-end", "1"],
+        ["sweep", "--scenario", "fig2", "--param", "K", "--values", "nan", "--t-end", "1"],
+    ])
+    def test_non_finite_input_fails_fast(self, argv, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(argv + ["--out", str(tmp_path / "x.csv")])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "config"
+        assert "finite" in err["message"]
+        assert elapsed < 1.0
+        assert not list(tmp_path.iterdir())
 
     def test_io_failure_category(self, tmp_path, capsys):
         code = main(["run", "--scenario", "fig2", "--t-end", "0",

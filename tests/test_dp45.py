@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -92,6 +94,13 @@ class TestControl:
         with pytest.raises(StepSizeUnderflowError) as err:
             drive(s)
         assert 0.99 < err.value.t <= 1.01
+
+    @pytest.mark.parametrize("y0", [math.nan, math.inf])
+    def test_non_finite_state_raises(self, y0):
+        # NaN never passes the acceptance test, so an unguarded step() retries forever
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            drive(DormandPrince45(lambda t, y: -y, 0.0, np.array([y0]), 1.0,
+                                  rtol=1e-9, atol=1e-9))
 
     def test_rejections_are_counted(self):
         # drive frequency kick forces at least some rejected trials

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchannel.hybrid_dynamics import (HybridState, IntegrationError, OscParams,
                                          Regime, RegimeError, build_spin_hamiltonian,
                                          classical_energy, connectivity, derivative,
-                                         energy_budget, integrate, site_hamiltonian)
-from spinchannel.spin_algebra import SpinParams, basis_state, bell_phi_minus, embed, pauli
+                                         energy_budget, integrate, separability_defect,
+                                         site_hamiltonian)
+from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
+                                      expm_hermitian, pauli)
 
 SP = SpinParams(omega0=1.5, g=1.0, alpha=math.pi / 3)
 PSI01 = basis_state("01")
@@ -141,6 +145,36 @@ class TestDerivative:
             derivative(initial(), weak_k(), SP, regime=Regime.DRIVEN_NONLINEAR)
 
 
+def unitary_from_angles(a, b, c):
+    """exp(-i (a sx + b sy + c sz)) as a 2x2 matrix."""
+    return expm_hermitian(a * pauli("x") + b * pauli("y") + c * pauli("z"), 1.0)
+
+
+class TestSeparabilityDefect:
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.0, 2.5])
+    def test_zz_rotation(self, theta):
+        # exp(-i theta Z(x)Z) = cos(theta) I(x)I - i sin(theta) Z(x)Z realigns to
+        # singular values 2|cos theta| and 2|sin theta|
+        zz = np.kron(pauli("z"), pauli("z"))
+        expected = 2 * min(abs(math.cos(theta)), abs(math.sin(theta)))
+        assert separability_defect(expm_hermitian(zz, theta)) == \
+            pytest.approx(expected, abs=1e-14)
+
+    def test_products_vanish(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            u1, u2 = (unitary_from_angles(*rng.uniform(-np.pi, np.pi, 3)) for _ in range(2))
+            assert separability_defect(np.kron(u1, u2)) <= 1e-14
+
+    def test_distance_not_unitarity(self):
+        # non-unitary products are products too; a product plus E is at most |E| away
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        assert separability_defect(np.kron(a, b)) <= 1e-14
+        E = 1e-3 * rng.normal(size=(4, 4))
+        assert separability_defect(np.kron(a, b) + E) <= np.linalg.norm(E) + 1e-15
+
+
 class TestIntegrate:
     def test_normal_mode_oracle(self):
         # no feedback, no drive: must match the closed-form two-mode solution
@@ -238,6 +272,36 @@ class TestIntegrate:
         assert abs(b.x1 - 1.0) < 1e-7
         assert abs(b.v1) < 1e-7
         assert np.abs(b.psi.conj() - PSI01).max() < 1e-7
+
+
+angles = st.floats(-math.pi, math.pi)
+
+
+class TestRandomizedInvariants:
+    """README invariants of the classical channel over a box of valid
+    autonomous inputs and random cross-site probe pairs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.floats(0.05, 10.0), xi=st.floats(0.0, 1.0), x1=st.floats(-1.5, 1.5),
+           bell=st.booleans(), spinor=st.tuples(angles, angles, angles, angles),
+           probes=st.tuples(*[angles] * 6))
+    def test_invariants(self, K, xi, x1, bell, spinor, probes):
+        if bell:
+            psi0 = bell_phi_minus()
+        else:
+            t1, p1, t2, p2 = spinor
+            psi0 = np.kron([math.cos(t1 / 2), np.exp(1j * p1) * math.sin(t1 / 2)],
+                           [math.cos(t2 / 2), np.exp(1j * p2) * math.sin(t2 / 2)])
+        W = embed(unitary_from_angles(*probes[:3]), 1)
+        V = embed(unitary_from_angles(*probes[3:]), 2)
+        op = OscParams.from_connectivity(1.0, 1.5, K, xi=xi)
+        series = integrate(initial(psi=psi0, x1=x1), op, SP, None, 5.0, 0.1, 1e-9,
+                           otoc_ops=(W, V))
+        d = series.diagnostics
+        assert series.otoc.max() <= 1e-10
+        assert series.sep_defect.max() <= 1e-10
+        assert max(d.max_step_norm_drift, d.max_step_unitarity_defect,
+                   d.max_output_norm_drift, d.max_output_unitarity_defect) <= 1e-8
 
 
 class TestClassicalEnergy:
