@@ -351,12 +351,11 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         return cfg.validate()
     except ConfigError as exc:
-        hint = ""
-        for attr in ("F", "gamma", "xi"):
-            if attr in lines:
-                hint = f" (see line {lines[attr]})"
-                break
-        raise ConfigError(f"{exc}{hint}") from None
+        # a regime error points at the first regime-setting line given
+        given = [lines[attr] for attr in ("F", "gamma", "xi") if attr in lines]
+        if not given or not isinstance(exc.__context__, RegimeError):
+            raise
+        raise ConfigError(f"{exc} (see line {given[0]})") from None
 
 
 def render_config(cfg: ScenarioConfig) -> str:

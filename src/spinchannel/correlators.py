@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spin_algebra import _dagger
+
 __all__ = ["CorrelatorRecord", "otoc_product", "otoc_commutator", "two_point"]
 
 UNITARITY_TOL = 1e-8
@@ -18,18 +20,18 @@ UNITARITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CorrelatorRecord:
-    """One correlator sample: out-of-time-order product F, OTOC C = 1 - Re F,
-    and the two-point time-ordered correlator G2."""
+    """Out-of-time-order product F, OTOC C = 1 - Re F and two-point
+    correlator G2, at one time or (as arrays) over a stack of propagators."""
 
-    t: float
-    F: complex
-    C: float
-    G2: complex
+    t: float | np.ndarray
+    F: complex | np.ndarray
+    C: float | np.ndarray
+    G2: complex | np.ndarray
 
 
 def _check_unitary(m: np.ndarray, name: str, tol: float = UNITARITY_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+    defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max()
     if defect > tol:
         raise ValueError(f"{name} is not unitary (defect {defect:.3e} > {tol:.1e})")
     return m
@@ -44,21 +46,23 @@ def _check_state(psi: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
 
 
 def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray,
-                 t: float = 0.0) -> CorrelatorRecord:
+                 t: float | np.ndarray = 0.0) -> CorrelatorRecord:
     """OTOC from the out-of-time-order product form.
 
     F = <psi0| U^dag W^dag U V^dag U^dag W U V |psi0>,  C = 1 - Re F.
     For unitary W, V this equals the commutator form (see otoc_commutator).
     Also evaluates the two-point correlator G2 = <psi0| U^dag W U V |psi0>.
+    A (..., 4, 4) stack U, each member checked, gives F, C, G2 of its shape.
     """
     U = _check_unitary(U, "U")
     psi0 = _check_state(psi0)
     W = _check_unitary(W, "W")
     V = _check_unitary(V, "V")
-    Wt = U.conj().T @ W @ U
-    v_psi = V @ psi0
-    F = complex(np.vdot(psi0, Wt.conj().T @ (V.conj().T @ (Wt @ v_psi))))
-    G2 = complex(np.vdot(psi0, Wt @ v_psi))
+    Wt = _dagger(U) @ W @ U
+    # kets are (..., 4, 1) columns so that every operator applies over the stack
+    wt_v_psi = Wt @ (V @ psi0)[:, None]
+    F = (psi0.conj() @ (_dagger(Wt) @ (_dagger(V) @ wt_v_psi)))[..., 0][()]
+    G2 = (psi0.conj() @ wt_v_psi)[..., 0][()]
     return CorrelatorRecord(t=t, F=F, C=1.0 - F.real, G2=G2)
 
 
@@ -68,7 +72,7 @@ def otoc_commutator(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarra
     psi0 = _check_state(psi0)
     W = _check_unitary(W, "W")
     V = _check_unitary(V, "V")
-    Wt = U.conj().T @ W @ U
+    Wt = _dagger(U) @ W @ U
     comm_psi = (Wt @ (V @ psi0)) - (V @ (Wt @ psi0))
     return 0.5 * float(np.vdot(comm_psi, comm_psi).real)
 
@@ -77,5 +81,5 @@ def two_point(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray) -> 
     """Time-ordered two-point correlator <psi0| W(t) V |psi0>."""
     U = _check_unitary(U, "U")
     psi0 = _check_state(psi0)
-    Wt = U.conj().T @ np.asarray(W, dtype=complex) @ U
+    Wt = _dagger(U) @ np.asarray(W, dtype=complex) @ U
     return complex(np.vdot(psi0, Wt @ (np.asarray(V, dtype=complex) @ psi0)))

@@ -11,6 +11,8 @@ with Omega0 = g^2/(omega0 - omega), Omega_n = Omega0/(2n+1) and
 omega0R = omega0/(2n+1).  Everything downstream (eigensystem, OTOC, thermal
 state, concurrence) is closed-form in these three constants; the numeric
 routes recompute each quantity from dense 4x4 algebra as a cross-check.
+Evaluators take t as a scalar or a 1-D time grid (one spectral decomposition
+of H per call), and the cross-checks hold at every grid point.
 
 The oscillator is never represented as a Fock ladder: n is a fixed
 non-negative real parameter, and the n -> infinity limit (Omega_n -> 0,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlators
-from .spin_algebra import basis_state, bell_phi_minus, embed, expm_hermitian, pauli
+from .spin_algebra import _dagger, basis_state, bell_phi_minus, embed, expm_hermitian, pauli
 
 __all__ = [
     "QuantumChannelParams",
@@ -120,7 +122,7 @@ def eigensystem(p: QuantumChannelParams) -> list[tuple[float, np.ndarray]]:
     ]
 
 
-def otoc_analytic(p: QuantumChannelParams, t: float) -> float:
+def otoc_analytic(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.ndarray:
     """Stated closed-form Bell-state OTOC, 2 sin^2(4 Omega_n t).
 
     Note: the exact propagator evaluation of the same quantity follows
@@ -128,20 +130,21 @@ def otoc_analytic(p: QuantumChannelParams, t: float) -> float:
     which otoc_numeric matches to rounding).  Both forms are exposed
     deliberately; the test suite pins down the disagreement.
     """
-    return 2.0 * math.sin(4.0 * p.Omega_n * t) ** 2
+    return 2.0 * np.sin(4.0 * p.Omega_n * np.asarray(t)) ** 2
 
 
-def otoc_bell_spectral(p: QuantumChannelParams, t: float) -> float:
+def otoc_bell_spectral(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.ndarray:
     """Bell-state OTOC from the eigenphase structure: 1 - cos(4 Omega_n t).
 
     The four-operator product sigma1_z(t) sigma2_z sigma1_z(t) sigma2_z is
     diagonal in the energy eigenbasis with phases {0, +-4 Omega_n t, 0}; the
     singlet-like Bell state projects onto a single phase, giving this form.
     """
-    return 1.0 - math.cos(4.0 * p.Omega_n * t)
+    return 1.0 - np.cos(4.0 * p.Omega_n * np.asarray(t))
 
 
-def otoc_numeric(p: QuantumChannelParams, t: float, psi0: np.ndarray | None = None) -> float:
+def otoc_numeric(p: QuantumChannelParams, t: float | np.ndarray,
+                 psi0: np.ndarray | None = None) -> float | np.ndarray:
     """OTOC of sigma1_z(t), sigma2_z on psi0 (default the Bell state),
     evaluated from the exact propagator of the effective Hamiltonian."""
     psi0 = bell_phi_minus() if psi0 is None else np.asarray(psi0, dtype=complex)
@@ -165,23 +168,33 @@ def thermal_density(p: QuantumChannelParams) -> np.ndarray:
 
 def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
                      psd_tol: float = 1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace and positive semidefiniteness."""
+    """Check Hermiticity, unit trace and positivity of rho or of a (..., 4, 4) stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
+    herm = np.abs(rho - _dagger(rho)).max()
     if herm > herm_tol:
         raise ValueError(f"density matrix is not Hermitian (defect {herm:.3e})")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+    tr = np.trace(rho, axis1=-2, axis2=-1).ravel()
+    worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
+    if abs(worst - 1.0) > trace_tol:
+        raise ValueError(f"density matrix trace is {worst!r}, expected 1")
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -psd_tol:
         raise ValueError(f"density matrix has a negative eigenvalue ({evals.min():.3e})")
     return rho
 
 
-def thermal_otoc(p: QuantumChannelParams, t: float) -> float:
+def _cross_check(quantity: str, route: str, t, closed, numeric) -> None:
+    """Raise unless closed form and dense route agree at every t; name the worst t."""
+    t, closed, numeric = (a.ravel() for a in np.broadcast_arrays(t, closed, numeric))
+    k = np.argmax(np.abs(closed - numeric))
+    if abs(closed[k] - numeric[k]) > CROSS_CHECK_TOL:
+        raise RuntimeError(f"{quantity} cross-check failed at t = {float(t[k])!r}: closed "
+                           f"form {float(closed[k])!r} vs {route} {float(numeric[k])!r}")
+
+
+def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.ndarray:
     """Thermally averaged OTOC of sigma1_z(t), sigma2_z.
 
     Evaluates the closed form
@@ -190,25 +203,22 @@ def thermal_otoc(p: QuantumChannelParams, t: float) -> float:
               / [cosh(2 beta (Omega0+omega0R)) + cosh(beta Omega_n)]
 
     and the defining trace Re Tr{rho sigma1_z(t) sigma2_z sigma1_z(t) sigma2_z};
-    the two must agree to within CROSS_CHECK_TOL or the call fails.
+    the two must agree to within CROSS_CHECK_TOL at every t or the call fails.
     """
     a = math.cosh(2 * p.beta * p.zeeman)
     b = math.cosh(p.beta * p.Omega_n)
-    closed = 1.0 - (a + math.cos(4 * p.Omega_n * t) * b) / (a + b)
+    closed = 1.0 - (a + np.cos(4 * p.Omega_n * np.asarray(t)) * b) / (a + b)
 
-    rho = thermal_density(p)
     U = expm_hermitian(h_total(p), t)
-    s1z_t = U.conj().T @ _S1Z @ U
+    s1z_t = _dagger(U) @ _S1Z @ U
     chain = s1z_t @ _S2Z @ s1z_t @ _S2Z
-    traced = 1.0 - float(np.trace(rho @ chain).real)
-    if abs(closed - traced) > CROSS_CHECK_TOL:
-        raise RuntimeError(
-            f"thermal OTOC cross-check failed: closed form {closed!r} vs trace {traced!r}")
+    traced = 1.0 - np.trace(thermal_density(p) @ chain, axis1=-2, axis2=-1).real
+    _cross_check("thermal OTOC", "trace", t, closed, traced)
     return closed
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of a two-qubit density matrix or a (..., 4, 4) stack.
 
     max(0, R1 - R2 - R3 - R4) with R_i the descending square roots of the
     eigenvalues of rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  Tiny
@@ -220,40 +230,37 @@ def concurrence(rho: np.ndarray) -> float:
     evals = np.linalg.eigvals(R).real
     if evals.min() < EIGENVALUE_CLAMP:
         raise ValueError(f"spin-flip spectrum has a negative eigenvalue ({evals.min():.3e})")
-    roots = np.sqrt(np.clip(evals, 0.0, None))
-    roots[::-1].sort()
-    return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+    roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
+    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return np.where(c > 0.0, c, 0.0)[()]
 
 
-def gme(c: float) -> float:
+def gme(c: float | np.ndarray) -> float | np.ndarray:
     """Geometric measure of entanglement of a two-qubit state with
-    concurrence c: (1 - sqrt(1 - c)) / 2."""
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    c = min(max(c, 0.0), 1.0)
-    return 0.5 * (1.0 - math.sqrt(1.0 - c))
+    concurrence c: (1 - sqrt(1 - c)) / 2, elementwise over an array of c."""
+    c = np.asarray(c, dtype=float)
+    outside = ~((-1e-12 <= c) & (c <= 1.0 + 1e-12))
+    if outside.any():
+        raise ValueError(f"concurrence must lie in [0, 1], got {float(c[outside][0])}")
+    return 0.5 * (1.0 - np.sqrt(1.0 - np.clip(c, 0.0, 1.0)))
 
 
-def thermal_concurrence(p: QuantumChannelParams, t: float) -> float:
+def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.ndarray:
     """Concurrence of the (time-evolved) thermal state.
 
     Closed form 2 max(0, (|sinh(beta Omega_n)| - 1) / Z) with
     Z = 2 cosh(2 beta (Omega0+omega0R)) + 2 cosh(beta Omega_n), checked
-    against the Wootters pipeline on the evolved state.  The thermal state
-    is stationary, so the result is t-independent; t only exercises that.
+    against the Wootters pipeline on the state evolved to every t.  The
+    thermal state is stationary, so the result is t-independent; t only
+    exercises that.
     """
     Z = 2 * math.cosh(2 * p.beta * p.zeeman) + 2 * math.cosh(p.beta * p.Omega_n)
-    closed = 2.0 * max(0.0, (abs(math.sinh(p.beta * p.Omega_n)) - 1.0) / Z)
+    closed = np.full(np.shape(t), 2.0 * max(0.0, (abs(math.sinh(p.beta * p.Omega_n)) - 1.0) / Z))
 
-    rho = thermal_density(p)
     U = expm_hermitian(h_total(p), t)
-    evolved = U @ rho @ U.conj().T
-    numeric = concurrence(evolved)
-    if abs(closed - numeric) > CROSS_CHECK_TOL:
-        raise RuntimeError(
-            f"thermal concurrence cross-check failed: closed form {closed!r} vs "
-            f"Wootters {numeric!r}")
-    return closed
+    _cross_check("thermal concurrence", "Wootters", t, closed,
+                 concurrence(U @ thermal_density(p) @ _dagger(U)))
+    return closed[()]
 
 
 @dataclass(frozen=True)
@@ -280,8 +287,6 @@ def classical_limit_report(p: QuantumChannelParams, t_max: float,
     rows = []
     for n in n_grid:
         pn = QuantumChannelParams(omega0=p.omega0, omega=p.omega, g=p.g, n=n, beta=p.beta)
-        otoc_amp = max(otoc_numeric(pn, t) for t in ts)
-        thermal_amp = max(thermal_otoc(pn, t) for t in ts)
-        rows.append(ClassicalLimitRow(n=n, otoc_amplitude=float(otoc_amp),
-                                      thermal_otoc_amplitude=float(thermal_amp)))
+        rows.append(ClassicalLimitRow(n=n, otoc_amplitude=float(otoc_numeric(pn, ts).max()),
+                                      thermal_otoc_amplitude=float(thermal_otoc(pn, ts).max())))
     return rows

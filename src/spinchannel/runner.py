@@ -19,7 +19,7 @@ from . import quantum_channel as qc
 from .config import (ConfigError, ScenarioConfig, render_config, resolve_field, _float,
                      _float_list)
 from .hybrid_dynamics import HybridState, Regime, TimeSeries, integrate
-from .spin_algebra import bell_phi_minus, expm_hermitian
+from .spin_algebra import _dagger, expm_hermitian
 
 __all__ = ["RunResult", "run_scenario", "sweep", "write_output",
            "HYBRID_CSV_HEADER", "QUANTUM_CSV_HEADER"]
@@ -73,28 +73,19 @@ def _run_hybrid(cfg: ScenarioConfig) -> tuple[TimeSeries, dict]:
 
 
 def _run_quantum(cfg: ScenarioConfig) -> tuple[dict[str, np.ndarray], dict]:
-    dt = cfg.resolved_dt_out()
-    n_out = max(1, round(cfg.t_end / dt)) if cfg.t_end > 0 else 0
+    n_out = max(1, round(cfg.t_end / cfg.resolved_dt_out())) if cfg.t_end > 0 else 0
     ts = np.linspace(0.0, cfg.t_end, n_out + 1)
     psi0 = cfg.initial_spin_state()
-    bell = bell_phi_minus()
-    rho_bell = np.outer(bell, bell.conj())
+    rho0 = np.outer(psi0, psi0.conj())
 
-    cols = {name: [] for name in QUANTUM_CSV_HEADER}
+    parts = []
     for n in cfg.n_values:
         p = cfg.quantum_params(n)
-        H = qc.h_total(p)
-        for t in ts:
-            U = expm_hermitian(H, t)
-            cols["t"].append(t)
-            cols["n"].append(n)
-            cols["otoc"].append(qc.otoc_numeric(p, t, psi0))
-            cols["thermal_otoc"].append(qc.thermal_otoc(p, t))
-            cols["thermal_concurrence"].append(qc.thermal_concurrence(p, t))
-            c = qc.concurrence(U @ rho_bell @ U.conj().T)
-            cols["concurrence"].append(c)
-            cols["gme"].append(qc.gme(c))
-    table = {name: np.asarray(values) for name, values in cols.items()}
+        U = expm_hermitian(qc.h_total(p), ts)
+        c = qc.concurrence(U @ rho0 @ _dagger(U))
+        parts.append((ts, np.full(ts.size, n), qc.otoc_numeric(p, ts, psi0),
+                      qc.thermal_otoc(p, ts), qc.thermal_concurrence(p, ts), c, qc.gme(c)))
+    table = {name: np.concatenate(col) for name, col in zip(QUANTUM_CSV_HEADER, zip(*parts))}
     diagnostics = {"n_values": list(cfg.n_values), "samples_per_n": int(ts.size)}
     return table, diagnostics
 
@@ -148,19 +139,13 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _hybrid_rows(series: TimeSeries):
-    for k in range(len(series)):
-        yield (series.t[k], series.x1[k], series.v1[k], series.x2[k], series.v2[k],
-               series.s1x[k], series.s1y[k], series.s1z[k],
-               series.s2x[k], series.s2y[k], series.s2z[k],
-               series.otoc[k], series.two_point[k].real, series.two_point[k].imag,
-               series.h0[k], series.h_nv[k], series.v_int[k])
-
-
-def _quantum_rows(qtable: dict[str, np.ndarray]):
-    size = qtable["t"].size
-    for k in range(size):
-        yield tuple(qtable[name][k] for name in QUANTUM_CSV_HEADER)
+def _columns(result: RunResult) -> list[np.ndarray]:
+    """The output columns of a run, in the order of its CSV header."""
+    if result.kind != "hybrid":
+        return [result.qtable[name] for name in QUANTUM_CSV_HEADER]
+    s = result.series
+    return [s.t, s.x1, s.v1, s.x2, s.v2, s.s1x, s.s1y, s.s1z, s.s2x, s.s2y, s.s2z,
+            s.otoc, s.two_point.real, s.two_point.imag, s.h0, s.h_nv, s.v_int]
 
 
 def write_output(result: RunResult, fmt: str, path: str) -> None:
@@ -169,8 +154,7 @@ def write_output(result: RunResult, fmt: str, path: str) -> None:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     header = HYBRID_CSV_HEADER if result.kind == "hybrid" else QUANTUM_CSV_HEADER
-    rows = _hybrid_rows(result.series) if result.kind == "hybrid" \
-        else _quantum_rows(result.qtable)
+    rows = zip(*_columns(result))
     if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)

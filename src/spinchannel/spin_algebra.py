@@ -86,19 +86,26 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def expm_hermitian(h: np.ndarray, t: float, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes of a matrix or a stack."""
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def expm_hermitian(h: np.ndarray, t: float | np.ndarray,
+                   hermiticity_tol: float = 1e-10) -> np.ndarray:
     """exp(-i h t) for Hermitian h via spectral decomposition.
 
-    Exact (to rounding) at any t, unlike truncated series.  Rejects input
+    Exact (to rounding) at any t, unlike truncated series; times of shape (T,)
+    share one eigendecomposition and give a (T, n, n) stack.  Rejects input
     whose anti-Hermitian part exceeds ``hermiticity_tol``.
     """
     h = np.asarray(h, dtype=complex)
-    defect = np.abs(h - h.conj().T).max()
+    defect = np.abs(h - _dagger(h)).max()
     if defect > hermiticity_tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {hermiticity_tol:.1e})")
     energies, vectors = np.linalg.eigh(h)
-    phases = np.exp(-1j * energies * t)
-    return (vectors * phases) @ vectors.conj().T
+    phases = np.exp(-1j * energies * np.asarray(t, dtype=float)[..., None])
+    return (vectors * phases[..., None, :]) @ _dagger(vectors)
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 4"):
             parse_config(text)
 
+    def test_line_hint_only_on_regime_errors(self):
+        # line 4 sets xi; the format error has nothing to do with it
+        text = "[scenario]\nname = fig5\n[oscillators]\nxi = 2\n[output]\nformat = xml\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == "format must be 'csv' or 'json', got 'xml'"
+        text = "[scenario]\nname = fig5\n[oscillators]\nxi = 2\nF = 0\n"
+        with pytest.raises(ConfigError, match=r"none of the four regimes.*\(see line 5\)$"):
+            parse_config(text)
+
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             parse_config("[scenario]\nname = fig1\n")
@@ -167,6 +177,38 @@ class TestRunScenario:
         assert res.qtable["t"].size == 2 * 6
         assert np.allclose(res.qtable["concurrence"], 1.0, atol=1e-10)
         assert np.allclose(res.qtable["gme"], 0.5, atol=1e-7)
+
+    def test_concurrence_follows_configured_start(self):
+        # |01> is a product state; the flip-flop entangles it as |sin(2 Omega_n t)|
+        cfg = short(preset_config("fig8"), state="01", n_values=(0.0, 3.0), t_end=10.0,
+                    dt_out=0.05)
+        res = run_scenario(cfg)
+        t, n = res.qtable["t"], res.qtable["n"]
+        omega_n = np.array([cfg.quantum_params(v).Omega_n for v in n])
+        expected = np.abs(np.sin(2 * omega_n * t))
+        assert np.abs(res.qtable["concurrence"] - expected).max() < 1e-7
+        c = np.clip(res.qtable["concurrence"], 0.0, 1.0)
+        assert np.array_equal(res.qtable["gme"], 0.5 * (1 - np.sqrt(1 - c)))
+
+    def test_one_propagator_per_photon_number(self, monkeypatch):
+        from spinchannel import quantum_channel, runner
+        calls = {"expm": 0, "density": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        expm = counting("expm", quantum_channel.expm_hermitian)
+        monkeypatch.setattr(quantum_channel, "expm_hermitian", expm)
+        monkeypatch.setattr(runner, "expm_hermitian", expm)
+        monkeypatch.setattr(quantum_channel, "thermal_density",
+                            counting("density", quantum_channel.thermal_density))
+        res = run_scenario(short(preset_config("fig8"), t_end=20.0))
+        assert res.diagnostics["samples_per_n"] > 50
+        # the runner's own column, otoc_numeric, thermal_otoc, thermal_concurrence
+        assert calls == {"expm": 4 * 4, "density": 2 * 4}
 
     def test_fig8_preset_yields_four_series(self):
         cfg = short(preset_config("fig8"), t_end=1.0, dt_out=0.5)

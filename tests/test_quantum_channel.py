@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinchannel import correlators, quantum_channel
 from spinchannel.quantum_channel import (ClassicalLimitRow, QuantumChannelParams,
                                          classical_limit_report, concurrence,
                                          eigensystem, gme, h_total, otoc_analytic,
@@ -320,3 +321,83 @@ class TestClassicalLimitReport:
         t_max = math.pi / (2 * p.Omega_n)  # beyond the first peak of the numeric form
         rows = classical_limit_report(p, t_max=t_max, n_grid=[0.0], samples=2048)
         assert rows[0].otoc_amplitude == pytest.approx(2.0, abs=1e-3)
+
+
+@st.composite
+def channel_params(draw):
+    omega0 = draw(st.floats(1.0, 5.0))
+    return QuantumChannelParams(omega0=omega0, omega=omega0 - draw(st.floats(0.3, 2.0)),
+                                g=draw(st.floats(0.3, 2.0)), n=draw(st.floats(0.0, 50.0)),
+                                beta=draw(st.floats(0.0, 2.0)))
+
+
+class TestTimeGrid:
+    """A time grid goes through the same arithmetic as a single time."""
+
+    @given(channel_params(), st.lists(st.floats(0.0, 30.0), min_size=1, max_size=12),
+           st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+               lambda a: np.linalg.norm(a) > 0.1))
+    @settings(max_examples=40, deadline=None)
+    def test_grid_equals_per_time_calls(self, p, times, amplitudes):
+        ts = np.array(times)
+        psi0 = np.array(amplitudes[0::2]) + 1j * np.array(amplitudes[1::2])
+        psi0 /= np.linalg.norm(psi0)
+        for evaluator in (otoc_numeric, thermal_otoc, thermal_concurrence):
+            grid = evaluator(p, ts)
+            assert grid.shape == ts.shape
+            assert np.array_equal(grid, [evaluator(p, t) for t in ts]), evaluator.__name__
+        assert np.array_equal(otoc_numeric(p, ts, psi0), [otoc_numeric(p, t, psi0) for t in ts])
+        U = expm_hermitian(h_total(p), ts)
+        assert U.shape == (ts.size, 4, 4)
+        assert all(np.array_equal(U[k], expm_hermitian(h_total(p), t)) for k, t in enumerate(ts))
+        rhos = U @ np.outer(psi0, psi0.conj()) @ U.conj().swapaxes(-1, -2)
+        c = concurrence(rhos)
+        assert np.array_equal(c, [concurrence(r) for r in rhos])
+        assert np.array_equal(gme(c), [gme(v) for v in c])
+
+    def test_scalar_time_gives_scalars(self):
+        p = params(n=2.0, beta=0.5)
+        assert expm_hermitian(h_total(p), 0.7).shape == (4, 4)
+        for value in (otoc_numeric(p, 0.7), thermal_otoc(p, 0.7), thermal_concurrence(p, 0.7),
+                      gme(0.3), concurrence(thermal_density(p))):
+            assert isinstance(value, float) and np.ndim(value) == 0
+
+    def test_stack_validation_checks_every_member(self):
+        rhos = np.stack([np.eye(4, dtype=complex) / 4] * 5)
+        rhos[3, 0, 0] += 0.1
+        with pytest.raises(ValueError, match="trace"):
+            concurrence(rhos)
+        with pytest.raises(ValueError, match="got 1.5"):
+            gme(np.array([0.2, 1.5, 0.3]))
+
+
+class TestBatchedCrossChecks:
+    """One corrupted grid point out of many still trips the dense checks."""
+
+    TS = np.linspace(0.0, 40.0, 1906)
+
+    @pytest.mark.parametrize("evaluator", [thermal_otoc, thermal_concurrence])
+    def test_cross_check_names_the_corrupted_time(self, evaluator, monkeypatch):
+        p = params(n=0.0, beta=5.0)  # near the ground state |11>, which the kick entangles
+        assert evaluator(p, self.TS).shape == self.TS.shape
+        kick = expm_hermitian(np.kron(pauli("x"), pauli("x")), 0.3)
+        exact = quantum_channel.expm_hermitian
+
+        def corrupted(h, t):
+            U = exact(h, t)
+            U[-1] = kick @ U[-1]
+            return U
+
+        monkeypatch.setattr(quantum_channel, "expm_hermitian", corrupted)
+        with pytest.raises(RuntimeError, match="cross-check failed") as info:
+            evaluator(p, self.TS)
+        message = str(info.value)
+        assert f"at t = {float(self.TS[-1])!r}:" in message
+        assert len(message) < 200  # values, never the whole grid
+
+    def test_non_unitary_slice_rejected(self):
+        U = expm_hermitian(h_total(params(n=3.0)), self.TS[:50])
+        U[17] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="U is not unitary"):
+            correlators.otoc_product(U, bell_phi_minus(), embed(pauli("z"), 1),
+                                     embed(pauli("z"), 2), t=self.TS[:50])
