@@ -12,11 +12,14 @@ not assumed: every sample records the Frobenius distance of U from the
 nearest Kronecker product (``separability_defect``).
 
 Integration uses the adaptive Dormand-Prince 5(4) pair with dense output at
-a uniform sampling interval.  After every accepted step the wavefunction
-norm and the propagator unitarity defect are recorded and, above a small
-threshold, U is replaced by its polar factor; runs abort if the
-accumulated drift ever exceeds ``CUM_DRIFT_LIMIT`` so a silently inaccurate
-integration cannot masquerade as physics.
+a uniform sampling interval; the right-hand side acts on the real form of
+the state.  After every accepted step the wavefunction norm and the
+propagator unitarity defect are recorded and, above a small threshold, U is
+replaced by its polar factor (a Newton-Schulz iteration whose result is
+checked); runs abort if the accumulated drift ever exceeds
+``CUM_DRIFT_LIMIT`` so a silently inaccurate integration cannot masquerade
+as physics.  The sampled states are stored during stepping and the output
+columns are evaluated afterwards over stacks of samples.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import correlators
 from .dp45 import DormandPrince45
-from .spin_algebra import SpinParams, embed, pauli
+from .spin_algebra import SpinParams, _dagger, embed, pauli
 
 __all__ = [
     "OscParams",
@@ -52,6 +55,9 @@ __all__ = [
 
 RENORM_THRESHOLD = 1e-12   # per-step defect above which U is projected
 CUM_DRIFT_LIMIT = 1e-6     # run is aborted if accumulated drift exceeds this
+_POLAR_ITERATIONS = 3      # Newton-Schulz iterations before a projection fails
+_POLAR_ROUNDING = 1e-14    # unitarity defect at which the iteration has converged
+_EMIT_BLOCK = 512          # samples per stacked evaluation of the output columns
 
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
@@ -152,12 +158,6 @@ class HybridState:
     psi: np.ndarray
     U: np.ndarray = field(default_factory=lambda: _I4.copy())
 
-    def norm_defect(self) -> float:
-        return abs(np.linalg.norm(self.psi) - 1.0)
-
-    def unitarity_defect(self) -> float:
-        return float(np.abs(self.U.conj().T @ self.U - _I4).max())
-
 
 @dataclass
 class IntegrationDiagnostics:
@@ -243,7 +243,8 @@ def build_spin_hamiltonian(x1: float, x2: float, sp: SpinParams) -> np.ndarray:
 
 
 def classical_energy(s: HybridState, op: OscParams) -> float:
-    """Oscillator energy: kinetic + harmonic + quartic + coupling terms."""
+    """Oscillator energy: kinetic + harmonic + quartic + coupling terms
+    (elementwise if the state's coordinates are arrays)."""
     return (0.5 * (s.v1**2 + s.v2**2)
             + 0.5 * op.omega1**2 * s.x1**2 + 0.5 * op.omega2**2 * s.x2**2
             + 0.25 * op.xi * (s.x1**4 + s.x2**4)
@@ -281,20 +282,87 @@ def _real_expectation(psi: np.ndarray, op: np.ndarray) -> float:
     return float(np.vdot(psi, op @ psi).real)
 
 
-def separability_defect(U: np.ndarray) -> float:
+def separability_defect(U: np.ndarray) -> float | np.ndarray:
     """Frobenius distance of a 4x4 matrix from the nearest Kronecker product
     A (x) B of 2x2 matrices: realigned as R[(i,k),(j,l)] = U[(i,j),(k,l)],
     A (x) B becomes the rank-one vec(A) vec(B)^T, and the distance is the norm
-    of all but the leading singular value of R (Van Loan & Pitsianis 1993)."""
-    R = np.asarray(U).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    of all but the leading singular value of R (Van Loan & Pitsianis 1993).
+    A (..., 4, 4) stack gives an array of its leading shape."""
+    U = np.asarray(U)
+    R = U.reshape(*U.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(*U.shape[:-2], 4, 4)
     s = np.linalg.svd(R, compute_uv=False)
-    return math.sqrt(float(np.sum(s[1:] ** 2)))
+    d = np.sqrt(np.sum(s[..., 1:] ** 2, axis=-1))
+    return float(d) if d.ndim == 0 else d
 
 
-def _polar_projection(U: np.ndarray) -> np.ndarray:
-    """Nearest unitary matrix (polar factor)."""
-    w, _, vh = np.linalg.svd(U)
-    return w @ vh
+def _polar_projection(U: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Nearest unitary matrix (polar factor) of a near-unitary U, or of each
+    member of a (..., 4, 4) stack, by the Newton-Schulz iteration
+    U <- U (3I - G)/2 with G = U^dagger U, which the caller has already
+    formed to measure the defect (Higham 1986).
+
+    The unitarity defect is measured after every iteration and squares on
+    each, so one iteration reaches rounding level from the defects an
+    accurate step leaves.  The iteration converges to the polar factor only
+    while the singular values of U lie in (0, sqrt(3)), so a defect of 1/4
+    or more, or one still above RENORM_THRESHOLD after _POLAR_ITERATIONS,
+    raises FloatingPointError rather than returning some other unitary.
+    """
+    E = G - _I4
+    defect = np.abs(E).max()
+    if not defect < 0.25:
+        raise FloatingPointError(f"propagator too far from unitary to project "
+                                 f"(unitarity defect {defect:.3e})")
+    for _ in range(_POLAR_ITERATIONS):
+        U = U - 0.5 * (U @ E)
+        E = _dagger(U) @ U - _I4
+        defect = np.abs(E).max()
+        if defect <= _POLAR_ROUNDING:
+            return U
+    if defect > RENORM_THRESHOLD:
+        raise FloatingPointError(f"polar projection left a unitarity defect {defect:.3e} "
+                                 f"after {_POLAR_ITERATIONS} iterations")
+    return U
+
+
+def _coupling_operators(sp: SpinParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S1, S2 (the dressed spin operator on each site) and the bare spin
+    Hamiltonian Z4 = (omega0/2)(sigma1_z + sigma2_z)."""
+    Snv = sp.site_operator()
+    return embed(Snv, 1), embed(Snv, 2), 0.5 * sp.omega0 * (embed(_SZ, 1) + embed(_SZ, 2))
+
+
+def _real_form(M: np.ndarray) -> np.ndarray:
+    """Real matrix acting on interleaved (re, im) pairs as the complex M acts
+    on complex vectors: a + ib becomes a I2 + b J."""
+    return np.kron(M.real, np.eye(2)) + np.kron(M.imag, np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
+    """Right-hand side of the 36-real state (x1, v1, x2, v2, U) with
+    psi = U phi0, in real form.
+
+    dU/dt = -i (Z4 + g x1 S1 + g x2 S2) U is real-linear in the 32 reals u of
+    U, and <S_i> = <psi|S_i|psi> is a real quadratic form u.Q_i u in them.
+    One stacked (160, 32) matrix B holds the three left-multiplication maps
+    and Q_1, Q_2, so an evaluation is one B @ u, one (2, 32) @ u and one
+    linear combination of the three maps' images.
+    """
+    g = sp.g
+    S1, S2, Z4 = _coupling_operators(sp)
+    lift = _real_form(np.kron(_I4, phi0[None, :]))     # u -> psi, (8, 32)
+    B = np.vstack([_real_form(np.kron(-1j * M, _I4)) for M in (Z4, S1, S2)]
+                  + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        u = y[4:]
+        z = (B @ u).reshape(5, 32)
+        f1, f2 = (z[3:] @ u).tolist()
+        x1, v1, x2, v2 = y[:4].tolist()
+        a1, a2 = _accelerations(op, g, t, x1, v1, x2, v2, f1, f2)
+        return np.concatenate(((v1, a1, v2, a2), np.array([1.0, g * x1, g * x2]) @ z[:3]))
+
+    return rhs
 
 
 def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float,
@@ -334,7 +402,9 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     must lie in [1e-12, 1e-4].  The OTOC/two-point columns use the probe pair
     ``otoc_ops`` (default sigma1_z, sigma2_z) with the initial psi as the
     reference state.  dt_out is adjusted to the nearest exact divisor of the
-    time span so the grid lands on both endpoints.
+    time span so the grid lands on both endpoints.  The stepper only stores
+    the sampled states; the output columns are evaluated afterwards over
+    stacks of _EMIT_BLOCK samples.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end ({t_end}) must not precede the initial time ({initial.t})")
@@ -355,48 +425,27 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     # psi(t) = U(t) phi0 with psi(t0) = psi0
     phi0 = U0.conj().T @ psi0
 
-    g, Snv = sp.g, sp.site_operator()
-    S1, S2 = embed(Snv, 1), embed(Snv, 2)
-    Z4 = 0.5 * sp.omega0 * (embed(_SZ, 1) + embed(_SZ, 2))
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x1, v1, x2, v2 = y[:4]
-        U = y[4:].view(complex).reshape(4, 4)
-        psi = U @ phi0
-        a1, a2 = _accelerations(op, g, t, x1, v1, x2, v2,
-                                np.vdot(psi, S1 @ psi).real, np.vdot(psi, S2 @ psi).real)
-        H = Z4 + (g * x1) * S1 + (g * x2) * S2
-        dy = np.empty_like(y)
-        dy[:4] = v1, a1, v2, a2
-        dy[4:] = (-1j * (H @ U)).reshape(-1).view(float)
-        return dy
-
     diag = IntegrationDiagnostics()
 
-    def project(y: np.ndarray, record_step: bool):
+    def correct(y: np.ndarray) -> np.ndarray | None:
         """Record the norm drift of psi and the unitarity defect of U and,
-        above RENORM_THRESHOLD, replace U by its polar factor; returns
-        (U, psi, the corrected state or None if U was kept)."""
+        above RENORM_THRESHOLD, return the state with U replaced by its polar
+        factor (None if U is kept)."""
         U = y[4:].view(complex).reshape(4, 4)
-        psi = U @ phi0
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        udef = float(np.abs(U.conj().T @ U - _I4).max())
-        if record_step:
-            diag.max_step_norm_drift = max(diag.max_step_norm_drift, drift)
-            diag.max_step_unitarity_defect = max(diag.max_step_unitarity_defect, udef)
-            diag.cum_norm_drift += drift
-            diag.cum_unitarity_defect += udef
-            if diag.cum_norm_drift > CUM_DRIFT_LIMIT:
-                raise IntegrationError(
-                    f"accumulated wavefunction norm drift {diag.cum_norm_drift:.3e} exceeds "
-                    f"{CUM_DRIFT_LIMIT:.1e}; tolerance {tol:.1e} is too loose for this run")
-        else:
-            diag.max_output_norm_drift = max(diag.max_output_norm_drift, drift)
-            diag.max_output_unitarity_defect = max(diag.max_output_unitarity_defect, udef)
+        drift = abs(np.linalg.norm(U @ phi0) - 1.0)
+        G = U.conj().T @ U
+        udef = float(np.abs(G - _I4).max())
+        diag.max_step_norm_drift = max(diag.max_step_norm_drift, drift)
+        diag.max_step_unitarity_defect = max(diag.max_step_unitarity_defect, udef)
+        diag.cum_norm_drift += drift
+        diag.cum_unitarity_defect += udef
+        if diag.cum_norm_drift > CUM_DRIFT_LIMIT:
+            raise IntegrationError(
+                f"accumulated wavefunction norm drift {diag.cum_norm_drift:.3e} exceeds "
+                f"{CUM_DRIFT_LIMIT:.1e}; tolerance {tol:.1e} is too loose for this run")
         if drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
-            return U, psi, None
-        U = _polar_projection(U)
-        return U, U @ phi0, np.concatenate((y[:4], U.reshape(-1).view(float)))
+            return None
+        return np.concatenate((y[:4], _polar_projection(U, G).reshape(-1).view(float)))
 
     if t_end == initial.t:
         n_out = 0
@@ -405,50 +454,67 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
         n_out = max(1, round((t_end - initial.t) / dt_out))
         t_grid = initial.t + (t_end - initial.t) * np.arange(n_out + 1) / n_out
 
-    cols = {name: np.empty(n_out + 1) for name in
-            ("x1", "v1", "x2", "v2", "s1x", "s1y", "s1z", "s2x", "s2y", "s2z",
-             "otoc", "h0", "h_nv", "v_int", "sep_defect")}
-    two_pt = np.empty(n_out + 1, dtype=complex)
-    psis = np.empty((n_out + 1, 4), dtype=complex)
+    xs = np.empty((4, n_out + 1))
     Us = np.empty((n_out + 1, 4, 4), dtype=complex)
 
-    def emit(k: int, y: np.ndarray) -> None:
-        U, psi, _ = project(y, record_step=False)
-        x1, v1, x2, v2 = y[:4]
-        cols["x1"][k], cols["v1"][k], cols["x2"][k], cols["v2"][k] = x1, v1, x2, v2
-        for name, sop in zip(("s1x", "s1y", "s1z", "s2x", "s2y", "s2z"), _SIGMA_OPS):
-            cols[name][k] = np.vdot(psi, sop @ psi).real
-        rec = correlators.otoc_product(U, psi0, W, V, t=t_grid[k])
-        cols["otoc"][k] = rec.C
-        two_pt[k] = rec.G2
-        f1 = np.vdot(psi, S1 @ psi).real
-        f2 = np.vdot(psi, S2 @ psi).real
-        state = HybridState(t=t_grid[k], x1=x1, v1=v1, x2=x2, v2=v2, psi=psi, U=U)
-        cols["h0"][k] = classical_energy(state, op)
-        cols["h_nv"][k] = np.vdot(psi, Z4 @ psi).real
-        cols["v_int"][k] = g * x1 * f1 + g * x2 * f2
-        cols["sep_defect"][k] = separability_defect(U)
-        psis[k] = psi
-        Us[k] = U
+    def sample(k: int, y: np.ndarray) -> None:
+        xs[:, k] = y[:4]
+        Us[k] = y[4:].view(complex).reshape(4, 4)
 
     y0 = np.concatenate(([initial.x1, initial.v1, initial.x2, initial.v2],
                          U0.reshape(-1).view(float)))
-    emit(0, y0)
+    sample(0, y0)
     if n_out >= 1:
-        stepper = _integrate_sampled(rhs, y0, t_grid, t_end, tol, emit,
-                                     lambda y: project(y, record_step=True)[2])
+        stepper = _integrate_sampled(_hybrid_rhs(op, sp, phi0), y0, t_grid, t_end, tol,
+                                     sample, correct)
         diag.n_steps = stepper.n_steps
         diag.n_rejected = stepper.n_rejected
 
-    final = HybridState(t=t_grid[-1], x1=float(cols["x1"][-1]), v1=float(cols["v1"][-1]),
-                        x2=float(cols["x2"][-1]), v2=float(cols["v2"][-1]),
+    # <sigma> of both sites, then f1, f2 and h_nv
+    ops = np.stack(_SIGMA_OPS + list(_coupling_operators(sp)))
+    expect = np.empty((ops.shape[0], n_out + 1))
+    otoc = np.empty(n_out + 1)
+    two_pt = np.empty(n_out + 1, dtype=complex)
+    sep = np.empty(n_out + 1)
+    psis = np.empty((n_out + 1, 4), dtype=complex)
+    for a in range(0, n_out + 1, _EMIT_BLOCK):
+        b = min(a + _EMIT_BLOCK, n_out + 1)
+        U = Us[a:b]
+        psi = U @ phi0
+        drift = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+        G = _dagger(U) @ U
+        udef = np.abs(G - _I4).max(axis=(-2, -1))
+        diag.max_output_norm_drift = max(diag.max_output_norm_drift, float(drift.max()))
+        diag.max_output_unitarity_defect = max(diag.max_output_unitarity_defect,
+                                               float(udef.max()))
+        fix = (drift > RENORM_THRESHOLD) | (udef > RENORM_THRESHOLD)
+        if fix.any():
+            try:
+                U[fix] = _polar_projection(U[fix], G[fix])
+            except FloatingPointError as exc:
+                raise IntegrationError(f"projection of the samples at t = "
+                                       f"{t_grid[a:b][fix][0]}..{t_grid[a:b][fix][-1]} "
+                                       f"failed: {exc}") from exc
+            psi[fix] = U[fix] @ phi0
+        psis[a:b] = psi
+        expect[:, a:b] = np.einsum("ki,oij,kj->ok", psi.conj(), ops, psi, optimize=True).real
+        rec = correlators.otoc_product(U, psi0, W, V, t=t_grid[a:b])
+        otoc[a:b] = rec.C
+        two_pt[a:b] = rec.G2
+        sep[a:b] = separability_defect(U)
+
+    x1, v1, x2, v2 = xs
+    s1x, s1y, s1z, s2x, s2y, s2z, f1, f2, h_nv = expect
+    state = HybridState(t=t_grid, x1=x1, v1=v1, x2=x2, v2=v2, psi=psis, U=Us)
+    final = HybridState(t=t_grid[-1], x1=float(x1[-1]), v1=float(v1[-1]),
+                        x2=float(x2[-1]), v2=float(v2[-1]),
                         psi=psis[-1].copy(), U=Us[-1].copy())
-    return TimeSeries(t=t_grid, x1=cols["x1"], v1=cols["v1"], x2=cols["x2"], v2=cols["v2"],
-                      s1x=cols["s1x"], s1y=cols["s1y"], s1z=cols["s1z"],
-                      s2x=cols["s2x"], s2y=cols["s2y"], s2z=cols["s2z"],
-                      otoc=cols["otoc"], two_point=two_pt,
-                      h0=cols["h0"], h_nv=cols["h_nv"], v_int=cols["v_int"],
-                      sep_defect=cols["sep_defect"], psis=psis, Us=Us, psi0=psi0,
+    return TimeSeries(t=t_grid, x1=x1, v1=v1, x2=x2, v2=v2,
+                      s1x=s1x, s1y=s1y, s1z=s1z, s2x=s2x, s2y=s2y, s2z=s2z,
+                      otoc=otoc, two_point=two_pt,
+                      h0=classical_energy(state, op), h_nv=h_nv,
+                      v_int=sp.g * x1 * f1 + sp.g * x2 * f2,
+                      sep_defect=sep, psis=psis, Us=Us, psi0=psi0,
                       final_state=final, diagnostics=diag)
 
 

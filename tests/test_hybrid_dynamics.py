@@ -1,15 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinchannel.hybrid_dynamics import (HybridState, IntegrationError, OscParams,
-                                         Regime, RegimeError, build_spin_hamiltonian,
-                                         classical_energy, connectivity, derivative,
-                                         energy_budget, integrate, separability_defect,
-                                         site_hamiltonian)
+from spinchannel import correlators, hybrid_dynamics, preset_config
+from spinchannel.correlators import otoc_product
+from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState, IntegrationError,
+                                         OscParams, Regime, RegimeError,
+                                         _hybrid_rhs, _integrate_sampled, _polar_projection,
+                                         build_spin_hamiltonian, classical_energy,
+                                         connectivity, derivative, energy_budget, integrate,
+                                         separability_defect, site_hamiltonian)
+from spinchannel.runner import run_scenario
 from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
                                       expm_hermitian, pauli)
 
@@ -145,6 +150,113 @@ class TestDerivative:
             derivative(initial(), weak_k(), SP, regime=Regime.DRIVEN_NONLINEAR)
 
 
+def random_unitary(values):
+    """Q factor of the complex 4x4 matrix whose real and imaginary parts are
+    the 32 ``values``: a random unitary for Gaussian values."""
+    z = np.asarray(values, dtype=float).reshape(2, 4, 4)
+    q, _ = np.linalg.qr(z[0] + 1j * z[1])
+    return q
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+class TestHybridRhs:
+    """The real-form right-hand side the integrator steps equals the complex
+    ``derivative`` of the state it encodes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(xv=st.tuples(*[st.floats(-2.0, 2.0)] * 4), t=st.floats(0.0, 100.0),
+           u=st.lists(unit, min_size=32, max_size=32),
+           phi=st.lists(unit, min_size=8, max_size=8),
+           g=st.floats(-2.0, 2.0), alpha=st.floats(-math.pi, math.pi))
+    def test_matches_derivative(self, xv, t, u, phi, g, alpha):
+        phi0 = np.asarray(phi[:4]) + 1j * np.asarray(phi[4:])
+        assume(np.linalg.norm(phi0) > 0.1)
+        phi0 = phi0 / np.linalg.norm(phi0)
+        U = random_unitary(u)
+        op = OscParams(omega1=1.0, omega2=1.5, D=0.4, xi=0.7, gamma=0.15, F=0.5, Omega=1.1)
+        sp = SpinParams(omega0=1.5, g=g, alpha=alpha)
+        y = np.concatenate((xv, U.reshape(-1).view(float)))
+        dy = _hybrid_rhs(op, sp, phi0)(t, y)
+        x1, v1, x2, v2 = xv
+        d = derivative(HybridState(t=t, x1=x1, v1=v1, x2=x2, v2=v2, psi=U @ phi0, U=U), op, sp)
+        assert np.abs(dy[:4] - [d.x1, d.v1, d.x2, d.v2]).max() <= 1e-13
+        assert np.abs(dy[4:].view(complex).reshape(4, 4) - d.U).max() <= 1e-13
+
+
+def near_unitary(rng, defect):
+    """A random unitary times I + e H, with H Hermitian of unit max entry, so
+    that max|U^dagger U - I| is about 2 e = defect."""
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = h + h.conj().T
+    return random_unitary(rng.normal(size=32)) @ (np.eye(4) + 0.5 * defect * h / np.abs(h).max())
+
+
+def svd_polar(U):
+    w, _, vh = np.linalg.svd(U)
+    return w @ vh
+
+
+def gram(U):
+    return np.conj(U).swapaxes(-1, -2) @ U
+
+
+class TestPolarProjection:
+    """The Newton-Schulz projection returns the SVD polar factor of near-unitary
+    input and refuses input it cannot project."""
+
+    @pytest.mark.parametrize("defect", [1e-12, 1e-10, 5e-11, 1e-8, 1e-6])
+    def test_single_matches_svd(self, defect):
+        rng = np.random.default_rng(int(-math.log10(defect) * 10))
+        for _ in range(20):
+            U = near_unitary(rng, defect)
+            P = _polar_projection(U, gram(U))
+            assert np.abs(P - svd_polar(U)).max() <= 1e-14
+            assert np.abs(gram(P) - np.eye(4)).max() <= RENORM_THRESHOLD
+
+    def test_stack_matches_svd(self):
+        rng = np.random.default_rng(5)
+        defects = 10.0 ** rng.uniform(-12, -6, size=64)
+        Us = np.stack([near_unitary(rng, d) for d in defects])
+        P = _polar_projection(Us, gram(Us))
+        assert P.shape == Us.shape
+        assert np.abs(P - svd_polar(Us)).max() <= 1e-14
+        assert np.abs(gram(P) - np.eye(4)).max() <= RENORM_THRESHOLD
+
+    @pytest.mark.parametrize("bad", [2.0 * np.eye(4), np.zeros((4, 4)),
+                                     np.full((4, 4), np.nan)])
+    def test_grossly_non_unitary_raises(self, bad):
+        bad = bad.astype(complex)
+        with pytest.raises(FloatingPointError, match="unitar"):
+            _polar_projection(bad, gram(bad))
+        stack = np.stack([np.eye(4, dtype=complex), bad])
+        with pytest.raises(FloatingPointError):
+            _polar_projection(stack, gram(stack))
+
+    def test_unconverged_iteration_raises(self):
+        # a defect of 0.2 is inside the convergence region, but three
+        # iterations leave about 0.75^7 0.2^8 > RENORM_THRESHOLD
+        U = near_unitary(np.random.default_rng(2), 0.2)
+        with pytest.raises(FloatingPointError, match="after 3 iterations"):
+            _polar_projection(U, gram(U))
+
+    def test_failure_in_a_step_is_an_integration_error_at_t(self):
+        def correct(y):
+            bad = 2.0 * np.eye(4, dtype=complex)
+            return _polar_projection(bad, gram(bad))
+
+        with pytest.raises(IntegrationError, match="integration failed at t = .*unitary"):
+            _integrate_sampled(lambda t, y: np.zeros_like(y), np.zeros(2),
+                               np.array([0.0, 1.0]), 1.0, 1e-9, lambda k, y: None, correct)
+
+    def test_failure_in_a_sample_is_an_integration_error(self):
+        bad = HybridState(t=0.0, x1=1.0, v1=0.0, x2=0.0, v2=0.0, psi=PSI01,
+                          U=2.0 * np.eye(4, dtype=complex))
+        with pytest.raises(IntegrationError, match="t = 0.0"):
+            integrate(bad, weak_k(), SP, None, 0.0, 0.1, 1e-9)
+
+
 def unitary_from_angles(a, b, c):
     """exp(-i (a sx + b sy + c sz)) as a 2x2 matrix."""
     return expm_hermitian(a * pauli("x") + b * pauli("y") + c * pauli("z"), 1.0)
@@ -272,6 +384,60 @@ class TestIntegrate:
         assert abs(b.x1 - 1.0) < 1e-7
         assert abs(b.v1) < 1e-7
         assert np.abs(b.psi.conj() - PSI01).max() < 1e-7
+
+
+class TestStackedEmission:
+    """The output columns, evaluated over stacks of samples, equal the public
+    per-sample calls on the sampled U and psi."""
+
+    @pytest.fixture(scope="class")
+    def fig2(self):
+        return run_scenario(dataclasses.replace(preset_config("fig2"), t_end=12.0,
+                                                dt_out=0.01))
+
+    def test_columns_match_per_sample_calls(self, fig2):
+        s, cfg = fig2.series, fig2.config
+        sp, op = cfg.spin_params(), cfg.osc_params()
+        W, V = embed(pauli("z"), 1), embed(pauli("z"), 2)
+        S1, S2 = embed(sp.site_operator(), 1), embed(sp.site_operator(), 2)
+        Z4 = 0.5 * sp.omega0 * (embed(pauli("z"), 1) + embed(pauli("z"), 2))
+        sigmas = [embed(pauli(ax), site) for site in (1, 2) for ax in "xyz"]
+        spin_cols = np.stack([s.s1x, s.s1y, s.s1z, s.s2x, s.s2y, s.s2z], axis=1)
+        assert len(s) == 1201
+        for k in range(len(s)):
+            U, psi = s.Us[k], s.psis[k]
+            assert np.abs(psi - U @ s.psi0).max() <= 1e-14
+            rec = otoc_product(U, s.psi0, W, V)
+            assert abs(rec.C - s.otoc[k]) <= 1e-14
+            assert abs(rec.G2 - s.two_point[k]) <= 1e-14
+            assert abs(separability_defect(U) - s.sep_defect[k]) <= 1e-14
+            expect = [np.vdot(psi, sop @ psi).real for sop in sigmas]
+            assert np.abs(spin_cols[k] - expect).max() <= 1e-14
+            f1, f2 = np.vdot(psi, S1 @ psi).real, np.vdot(psi, S2 @ psi).real
+            assert abs(s.h_nv[k] - np.vdot(psi, Z4 @ psi).real) <= 1e-14
+            assert abs(s.v_int[k] - sp.g * (s.x1[k] * f1 + s.x2[k] * f2)) <= 1e-14
+            state = HybridState(t=s.t[k], x1=float(s.x1[k]), v1=float(s.v1[k]),
+                                x2=float(s.x2[k]), v2=float(s.v2[k]), psi=psi, U=U)
+            assert abs(s.h0[k] - classical_energy(state, op)) <= 1e-14
+
+    def test_projected_samples_are_unitary(self, fig2):
+        s = fig2.series
+        # the interpolated samples needed projecting, and every one now holds
+        assert s.diagnostics.max_output_unitarity_defect > RENORM_THRESHOLD
+        assert np.abs(gram(s.Us) - np.eye(4)).max() <= RENORM_THRESHOLD
+
+    def test_one_otoc_call_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return otoc_product(*args, **kwargs)
+
+        monkeypatch.setattr(correlators, "otoc_product", counting)
+        series = integrate(initial(), weak_k(), SP, None, 12.0, 0.01, 1e-9)
+        rows = len(series)
+        assert rows == 1201
+        assert 1 <= len(calls) <= math.ceil(rows / hybrid_dynamics._EMIT_BLOCK) < rows
 
 
 angles = st.floats(-math.pi, math.pi)
