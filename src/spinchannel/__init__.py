@@ -4,8 +4,8 @@ classical or quantum oscillator channel.
 Submodules:
     spin_algebra       dense one-/two-qubit operators, states, exact propagators
     hybrid_dynamics    mean-field spin-oscillator integration (classical channel)
+                       and feedback-free spin propagation on a prescribed trajectory
     correlators        OTOC and two-point correlators
-    analytic_reference closed-form response and feedback-free propagation
     quantum_channel    effective oscillator-mediated spin-spin model (quantum channel)
     config / runner    scenario presets, sweeps, CSV/JSON output
     cli                command-line entry point
@@ -13,14 +13,11 @@ Submodules:
 
 from .spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
                            expectation, expm_hermitian, pauli, sz_nv)
-from .hybrid_dynamics import (HybridState, IntegrationError, OscParams, Regime,
-                              RegimeError, TimeSeries, build_spin_hamiltonian,
-                              classical_energy, connectivity, derivative,
-                              energy_budget, integrate)
+from .hybrid_dynamics import (CoefficientSeries, HybridState, IntegrationError,
+                              OscParams, Regime, RegimeError, TimeSeries,
+                              build_spin_hamiltonian, classical_energy, connectivity,
+                              derivative, energy_budget, integrate, propagate_nofeedback)
 from .correlators import CorrelatorRecord, otoc_commutator, otoc_product, two_point
-from .analytic_reference import (AnalyticParams, forced_response,
-                                 propagate_nofeedback,
-                                 spin_expectations_from_coefficients)
 from .quantum_channel import (QuantumChannelParams, classical_limit_report,
                               concurrence, eigensystem, gme, h_total,
                               otoc_analytic, otoc_bell_spectral, otoc_numeric,

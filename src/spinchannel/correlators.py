@@ -29,18 +29,18 @@ class CorrelatorRecord:
     G2: complex | np.ndarray
 
 
-def _check_unitary(m: np.ndarray, name: str, tol: float = UNITARITY_TOL) -> np.ndarray:
+def _check_unitary(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max()
-    if defect > tol:
-        raise ValueError(f"{name} is not unitary (defect {defect:.3e} > {tol:.1e})")
+    if defect > UNITARITY_TOL:
+        raise ValueError(f"{name} is not unitary (defect {defect:.3e} > {UNITARITY_TOL:.1e})")
     return m
 
 
-def _check_state(psi: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+def _check_state(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > tol:
+    if drift > UNITARITY_TOL:
         raise ValueError(f"state is not normalized (|norm-1| = {drift:.3e})")
     return psi
 

@@ -70,8 +70,7 @@ class DormandPrince45:
     """Drive with ``step()``; inspect ``t``/``y``; sample with ``interpolate``."""
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_end: float, *,
-                 rtol: float, atol: float, max_step: float = math.inf,
-                 first_step: float | None = None):
+                 rtol: float, atol: float):
         if t_end == t0:
             raise ValueError("t_end must differ from t0")
         self.fun = fun
@@ -81,7 +80,6 @@ class DormandPrince45:
         self.direction = 1.0 if t_end > t0 else -1.0
         self.rtol = float(rtol)
         self.atol = float(atol)
-        self.max_step = float(max_step)
         self.f = np.asarray(fun(self.t, self.y), dtype=float)
         self.n_steps = 0
         self.n_rejected = 0
@@ -90,8 +88,7 @@ class DormandPrince45:
         self._K = np.empty((7, self.y.size))
         self._h_last = 0.0
         self._err_prev = 1.0
-        h0 = self._initial_step() if first_step is None else abs(first_step)
-        self._h = self.direction * min(h0, self.max_step, abs(t_end - t0))
+        self._h = self.direction * min(self._initial_step(), abs(t_end - t0))
 
     # -- step size machinery -------------------------------------------------
 
@@ -160,11 +157,7 @@ class DormandPrince45:
         else:
             factor = _SAFETY * err_norm ** -_PI_ALPHA * self._err_prev ** _PI_BETA
         self._err_prev = max(err_norm, 1e-4)
-        factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        h_next = h * factor
-        if abs(h_next) > self.max_step:
-            h_next = self.direction * self.max_step
-        self._h = h_next
+        self._h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         return True
 
     def interpolate(self, t: float) -> np.ndarray:

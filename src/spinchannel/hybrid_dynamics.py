@@ -20,6 +20,11 @@ checked); runs abort if the accumulated drift ever exceeds
 ``CUM_DRIFT_LIMIT`` so a silently inaccurate integration cannot masquerade
 as physics.  The sampled states are stored during stepping and the output
 columns are evaluated afterwards over stacks of samples.
+
+``propagate_nofeedback`` is the control case without back-action: the spins
+follow a prescribed oscillator trajectory, and U alone is integrated with
+the same left-multiplication maps, accepted-step guard, sample fix-up and
+output grid as the coupled run.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +55,8 @@ __all__ = [
     "derivative",
     "separability_defect",
     "integrate",
+    "CoefficientSeries",
+    "propagate_nofeedback",
     "classical_energy",
     "energy_budget",
 ]
@@ -213,6 +221,19 @@ class TimeSeries:
 
 
 @dataclass
+class CoefficientSeries:
+    """Basis coefficients C1..C4 of the propagated wavefunction on a uniform
+    time grid (``coefficients[k]`` is the length-4 vector at ``t[k]``)."""
+
+    t: np.ndarray
+    coefficients: np.ndarray
+    max_norm_drift: float
+
+    def __len__(self) -> int:
+        return self.t.size
+
+
+@dataclass
 class EnergyBudget:
     """Energy bookkeeping of a run: classical H0, spin <H_NV>, interaction <V>,
     their modulation depths (max - min), and the relative drift of the total."""
@@ -338,21 +359,28 @@ def _real_form(M: np.ndarray) -> np.ndarray:
     return np.kron(M.real, np.eye(2)) + np.kron(M.imag, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
+def _spin_maps(sp: SpinParams) -> np.ndarray:
+    """The left-multiplication maps U -> -i M U of M = Z4, S1, S2 on the 32
+    reals u of U, stacked as one real (96, 32) matrix, so that
+    dU/dt = [1, g x1, g x2] @ (maps @ u).reshape(3, 32)."""
+    S1, S2, Z4 = _coupling_operators(sp)
+    return np.vstack([_real_form(np.kron(-1j * M, _I4)) for M in (Z4, S1, S2)])
+
+
 def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
     """Right-hand side of the 36-real state (x1, v1, x2, v2, U) with
     psi = U phi0, in real form.
 
     dU/dt = -i (Z4 + g x1 S1 + g x2 S2) U is real-linear in the 32 reals u of
     U, and <S_i> = <psi|S_i|psi> is a real quadratic form u.Q_i u in them.
-    One stacked (160, 32) matrix B holds the three left-multiplication maps
+    One stacked (160, 32) matrix B holds the three maps of ``_spin_maps``
     and Q_1, Q_2, so an evaluation is one B @ u, one (2, 32) @ u and one
     linear combination of the three maps' images.
     """
     g = sp.g
-    S1, S2, Z4 = _coupling_operators(sp)
+    S1, S2, _ = _coupling_operators(sp)
     lift = _real_form(np.kron(_I4, phi0[None, :]))     # u -> psi, (8, 32)
-    B = np.vstack([_real_form(np.kron(-1j * M, _I4)) for M in (Z4, S1, S2)]
-                  + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
+    B = np.vstack([_spin_maps(sp)] + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         u = y[4:]
@@ -363,6 +391,81 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
         return np.concatenate(((v1, a1, v2, a2), np.array([1.0, g * x1, g * x2]) @ z[:3]))
 
     return rhs
+
+
+def _checked_state(psi: np.ndarray, tol: float) -> np.ndarray:
+    """A complex copy of the initial psi, once tol lies in [1e-12, 1e-4] and
+    psi is normalized."""
+    if not (1e-12 <= tol <= 1e-4):
+        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
+    psi = np.asarray(psi, dtype=complex).copy()
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+        raise ValueError("initial psi is not normalized")
+    return psi
+
+
+def _time_grid(t0: float, t_end: float, dt_out: float) -> np.ndarray:
+    """Uniform output grid from t0 to t_end.  dt_out is adjusted to the
+    nearest exact divisor of the span so the grid lands on both endpoints;
+    a zero span gives the single point t0."""
+    if dt_out <= 0:
+        raise ValueError(f"dt_out must be positive, got {dt_out}")
+    if t_end == t0:
+        return np.array([t0])
+    n_out = max(1, round((t_end - t0) / dt_out))
+    return t0 + (t_end - t0) * np.arange(n_out + 1) / n_out
+
+
+def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
+                tol: float) -> np.ndarray | None:
+    """Accepted-step guard of a state whose last 32 reals are U.
+
+    Records the norm drift of psi = U phi0 and the unitarity defect of U,
+    aborts once the accumulated norm drift exceeds CUM_DRIFT_LIMIT and, above
+    RENORM_THRESHOLD, returns the state with U replaced by its polar factor
+    (None if U is kept).
+    """
+    U = y[-32:].view(complex).reshape(4, 4)
+    drift = abs(np.linalg.norm(U @ phi0) - 1.0)
+    G = U.conj().T @ U
+    udef = float(np.abs(G - _I4).max())
+    diag.max_step_norm_drift = max(diag.max_step_norm_drift, drift)
+    diag.max_step_unitarity_defect = max(diag.max_step_unitarity_defect, udef)
+    diag.cum_norm_drift += drift
+    diag.cum_unitarity_defect += udef
+    if diag.cum_norm_drift > CUM_DRIFT_LIMIT:
+        raise IntegrationError(
+            f"accumulated wavefunction norm drift {diag.cum_norm_drift:.3e} exceeds "
+            f"{CUM_DRIFT_LIMIT:.1e}; tolerance {tol:.1e} is too loose for this run")
+    if drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
+        return None
+    return np.concatenate((y[:-32], _polar_projection(U, G).reshape(-1).view(float)))
+
+
+def _fix_samples(U: np.ndarray, phi0: np.ndarray, t: np.ndarray,
+                 diag: IntegrationDiagnostics) -> np.ndarray:
+    """Sample fix-up of a (n, 4, 4) stack of sampled propagators at times t.
+
+    Records the output norm drift of psi = U phi0 and the unitarity defect of
+    U, replaces in place the members above RENORM_THRESHOLD by their polar
+    factor, and returns psi = U phi0 for every member.
+    """
+    psi = U @ phi0
+    drift = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    G = _dagger(U) @ U
+    udef = np.abs(G - _I4).max(axis=(-2, -1))
+    diag.max_output_norm_drift = max(diag.max_output_norm_drift, float(drift.max()))
+    diag.max_output_unitarity_defect = max(diag.max_output_unitarity_defect,
+                                           float(udef.max()))
+    fix = (drift > RENORM_THRESHOLD) | (udef > RENORM_THRESHOLD)
+    if fix.any():
+        try:
+            U[fix] = _polar_projection(U[fix], G[fix])
+        except FloatingPointError as exc:
+            raise IntegrationError(f"projection of the samples at t = "
+                                   f"{t[fix][0]}..{t[fix][-1]} failed: {exc}") from exc
+        psi[fix] = U[fix] @ phi0
+    return psi
 
 
 def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float,
@@ -392,6 +495,29 @@ def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, to
     return stepper
 
 
+def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float,
+               phi0: np.ndarray, diag: IntegrationDiagnostics) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate a state whose last 32 reals are U, with psi = U phi0, over
+    t_grid under the accepted-step guard.  Returns the leading reals sampled
+    on the grid, (len(y0) - 32, n), and the sampled U, (n, 4, 4), both before
+    the sample fix-up."""
+    m = y0.size - 32
+    heads = np.empty((m, t_grid.size))
+    Us = np.empty((t_grid.size, 4, 4), dtype=complex)
+
+    def sample(k: int, y: np.ndarray) -> None:
+        heads[:, k] = y[:m]
+        Us[k] = y[m:].view(complex).reshape(4, 4)
+
+    sample(0, y0)
+    if t_grid.size > 1:
+        stepper = _integrate_sampled(rhs, y0, t_grid, t_end, tol, sample,
+                                     lambda y: _guard_step(y, phi0, diag, tol))
+        diag.n_steps = stepper.n_steps
+        diag.n_rejected = stepper.n_rejected
+    return heads, Us
+
+
 def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
               regime: Regime | None, t_end: float, dt_out: float, tol: float,
               otoc_ops: tuple[np.ndarray, np.ndarray] | None = None) -> TimeSeries:
@@ -408,16 +534,11 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     """
     if t_end < initial.t:
         raise ValueError(f"t_end ({t_end}) must not precede the initial time ({initial.t})")
-    if not (1e-12 <= tol <= 1e-4):
-        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
-    if dt_out <= 0:
-        raise ValueError(f"dt_out must be positive, got {dt_out}")
+    psi0 = _checked_state(initial.psi, tol)
+    t_grid = _time_grid(initial.t, t_end, dt_out)
     regime = Regime.classify(op) if regime is None else regime
     regime.validate(op)
 
-    psi0 = np.asarray(initial.psi, dtype=complex).copy()
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise ValueError("initial psi is not normalized")
     if otoc_ops is None:
         otoc_ops = (embed(pauli("z"), 1), embed(pauli("z"), 2))
     W, V = otoc_ops
@@ -426,77 +547,22 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     phi0 = U0.conj().T @ psi0
 
     diag = IntegrationDiagnostics()
-
-    def correct(y: np.ndarray) -> np.ndarray | None:
-        """Record the norm drift of psi and the unitarity defect of U and,
-        above RENORM_THRESHOLD, return the state with U replaced by its polar
-        factor (None if U is kept)."""
-        U = y[4:].view(complex).reshape(4, 4)
-        drift = abs(np.linalg.norm(U @ phi0) - 1.0)
-        G = U.conj().T @ U
-        udef = float(np.abs(G - _I4).max())
-        diag.max_step_norm_drift = max(diag.max_step_norm_drift, drift)
-        diag.max_step_unitarity_defect = max(diag.max_step_unitarity_defect, udef)
-        diag.cum_norm_drift += drift
-        diag.cum_unitarity_defect += udef
-        if diag.cum_norm_drift > CUM_DRIFT_LIMIT:
-            raise IntegrationError(
-                f"accumulated wavefunction norm drift {diag.cum_norm_drift:.3e} exceeds "
-                f"{CUM_DRIFT_LIMIT:.1e}; tolerance {tol:.1e} is too loose for this run")
-        if drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
-            return None
-        return np.concatenate((y[:4], _polar_projection(U, G).reshape(-1).view(float)))
-
-    if t_end == initial.t:
-        n_out = 0
-        t_grid = np.array([initial.t])
-    else:
-        n_out = max(1, round((t_end - initial.t) / dt_out))
-        t_grid = initial.t + (t_end - initial.t) * np.arange(n_out + 1) / n_out
-
-    xs = np.empty((4, n_out + 1))
-    Us = np.empty((n_out + 1, 4, 4), dtype=complex)
-
-    def sample(k: int, y: np.ndarray) -> None:
-        xs[:, k] = y[:4]
-        Us[k] = y[4:].view(complex).reshape(4, 4)
-
     y0 = np.concatenate(([initial.x1, initial.v1, initial.x2, initial.v2],
                          U0.reshape(-1).view(float)))
-    sample(0, y0)
-    if n_out >= 1:
-        stepper = _integrate_sampled(_hybrid_rhs(op, sp, phi0), y0, t_grid, t_end, tol,
-                                     sample, correct)
-        diag.n_steps = stepper.n_steps
-        diag.n_rejected = stepper.n_rejected
+    xs, Us = _propagate(_hybrid_rhs(op, sp, phi0), y0, t_grid, t_end, tol, phi0, diag)
 
     # <sigma> of both sites, then f1, f2 and h_nv
+    n = t_grid.size
     ops = np.stack(_SIGMA_OPS + list(_coupling_operators(sp)))
-    expect = np.empty((ops.shape[0], n_out + 1))
-    otoc = np.empty(n_out + 1)
-    two_pt = np.empty(n_out + 1, dtype=complex)
-    sep = np.empty(n_out + 1)
-    psis = np.empty((n_out + 1, 4), dtype=complex)
-    for a in range(0, n_out + 1, _EMIT_BLOCK):
-        b = min(a + _EMIT_BLOCK, n_out + 1)
+    expect = np.empty((ops.shape[0], n))
+    otoc = np.empty(n)
+    two_pt = np.empty(n, dtype=complex)
+    sep = np.empty(n)
+    psis = np.empty((n, 4), dtype=complex)
+    for a in range(0, n, _EMIT_BLOCK):
+        b = min(a + _EMIT_BLOCK, n)
         U = Us[a:b]
-        psi = U @ phi0
-        drift = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-        G = _dagger(U) @ U
-        udef = np.abs(G - _I4).max(axis=(-2, -1))
-        diag.max_output_norm_drift = max(diag.max_output_norm_drift, float(drift.max()))
-        diag.max_output_unitarity_defect = max(diag.max_output_unitarity_defect,
-                                               float(udef.max()))
-        fix = (drift > RENORM_THRESHOLD) | (udef > RENORM_THRESHOLD)
-        if fix.any():
-            try:
-                U[fix] = _polar_projection(U[fix], G[fix])
-            except FloatingPointError as exc:
-                raise IntegrationError(f"projection of the samples at t = "
-                                       f"{t_grid[a:b][fix][0]}..{t_grid[a:b][fix][-1]} "
-                                       f"failed: {exc}") from exc
-            psi[fix] = U[fix] @ phi0
-        psis[a:b] = psi
+        psi = psis[a:b] = _fix_samples(U, phi0, t_grid[a:b], diag)
         expect[:, a:b] = np.einsum("ki,oij,kj->ok", psi.conj(), ops, psi, optimize=True).real
         rec = correlators.otoc_product(U, psi0, W, V, t=t_grid[a:b])
         otoc[a:b] = rec.C
@@ -516,6 +582,35 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
                       v_int=sp.g * x1 * f1 + sp.g * x2 * f2,
                       sep_defect=sep, psis=psis, Us=Us, psi0=psi0,
                       final_state=final, diagnostics=diag)
+
+
+def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinParams,
+                         psi0: np.ndarray, t_end: float, tol: float,
+                         dt_out: float = 0.05, t0: float = 0.0) -> CoefficientSeries:
+    """Propagate the two-spin wavefunction under a prescribed trajectory.
+
+    ``traj(t)`` supplies the oscillator displacements (x1, x2); the spins
+    evolve under the corresponding time-dependent Hamiltonian with no
+    back-action on the trajectory.  U alone is integrated from the identity
+    with the maps of ``_spin_maps``, under the accepted-step guard and the
+    sample fix-up of ``integrate`` (same tol range, thresholds and drift
+    limit), and the coefficients are U(t) psi0 on the uniform grid.
+    """
+    if t_end <= t0:
+        raise ValueError(f"t_end ({t_end}) must exceed t0 ({t0})")
+    psi0 = _checked_state(psi0, tol)
+    t_grid = _time_grid(t0, t_end, dt_out)
+    maps = _spin_maps(sp)
+    g = sp.g
+
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        x1, x2 = traj(t)
+        return np.array([1.0, g * x1, g * x2]) @ (maps @ u).reshape(3, 32)
+
+    diag = IntegrationDiagnostics()
+    _, Us = _propagate(rhs, _I4.reshape(-1).view(float), t_grid, t_end, tol, psi0, diag)
+    return CoefficientSeries(t=t_grid, coefficients=_fix_samples(Us, psi0, t_grid, diag),
+                             max_norm_drift=diag.max_step_norm_drift)
 
 
 def energy_budget(series: TimeSeries, sp: SpinParams, op: OscParams) -> EnergyBudget:

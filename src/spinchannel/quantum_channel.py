@@ -53,6 +53,9 @@ _YY = np.kron(pauli("y"), pauli("y"))
 
 CROSS_CHECK_TOL = 1e-10
 EIGENVALUE_CLAMP = -1e-10
+DENSITY_HERM_TOL = 1e-12    # validate_density: max |rho - rho^dagger|
+DENSITY_TRACE_TOL = 1e-12   # validate_density: max |tr rho - 1|
+DENSITY_PSD_TOL = 1e-10     # validate_density: most negative eigenvalue allowed
 
 
 @dataclass(frozen=True)
@@ -166,21 +169,20 @@ def thermal_density(p: QuantumChannelParams) -> np.ndarray:
     return rho
 
 
-def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
-                     psd_tol: float = 1e-10) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of rho or of a (..., 4, 4) stack."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     herm = np.abs(rho - _dagger(rho)).max()
-    if herm > herm_tol:
+    if herm > DENSITY_HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian (defect {herm:.3e})")
     tr = np.trace(rho, axis1=-2, axis2=-1).ravel()
     worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
-    if abs(worst - 1.0) > trace_tol:
+    if abs(worst - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -psd_tol:
+    if evals.min() < -DENSITY_PSD_TOL:
         raise ValueError(f"density matrix has a negative eigenvalue ({evals.min():.3e})")
     return rho
 

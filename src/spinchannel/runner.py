@@ -135,10 +135,6 @@ def sweep(cfg: ScenarioConfig, parameter: str, values: list[float]) -> list[RunR
     return results
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _columns(result: RunResult) -> list[np.ndarray]:
     """The output columns of a run, in the order of its CSV header."""
     if result.kind != "hybrid":
@@ -156,8 +152,9 @@ def write_output(result: RunResult, fmt: str, path: str) -> None:
     header = HYBRID_CSV_HEADER if result.kind == "hybrid" else QUANTUM_CSV_HEADER
     rows = zip(*_columns(result))
     if fmt == "csv":
+        row_fmt = ",".join(["%.17g"] * len(header))
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(row_fmt % row for row in rows)
         text = "\n".join(lines) + "\n"
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -9,7 +9,7 @@ convention sigma_z |0> = +|0>.  hbar = 1 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 BASIS_LABELS = ("00", "01", "10", "11")
+HERMITICITY_TOL = 1e-10   # anti-Hermitian part expm_hermitian accepts
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -91,18 +92,17 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
 
 
-def expm_hermitian(h: np.ndarray, t: float | np.ndarray,
-                   hermiticity_tol: float = 1e-10) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """exp(-i h t) for Hermitian h via spectral decomposition.
 
     Exact (to rounding) at any t, unlike truncated series; times of shape (T,)
     share one eigendecomposition and give a (T, n, n) stack.  Rejects input
-    whose anti-Hermitian part exceeds ``hermiticity_tol``.
+    whose anti-Hermitian part exceeds HERMITICITY_TOL.
     """
     h = np.asarray(h, dtype=complex)
     defect = np.abs(h - _dagger(h)).max()
-    if defect > hermiticity_tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {hermiticity_tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
     energies, vectors = np.linalg.eigh(h)
     phases = np.exp(-1j * energies * np.asarray(t, dtype=float)[..., None])
     return (vectors * phases[..., None, :]) @ _dagger(vectors)
@@ -121,8 +121,6 @@ class SpinParams:
     omega0: float
     g: float
     alpha: float
-    omega_R: float | None = field(default=None)
-    delta: float | None = field(default=None)
 
     def __post_init__(self):
         if self.omega0 < 0:
@@ -133,7 +131,7 @@ class SpinParams:
         """Derive omega0 and alpha from the Rabi frequency and detuning."""
         omega0 = math.hypot(omega_R, delta)
         alpha = math.atan2(-omega_R, delta)
-        return cls(omega0=omega0, g=g, alpha=alpha, omega_R=omega_R, delta=delta)
+        return cls(omega0=omega0, g=g, alpha=alpha)
 
     def site_operator(self) -> np.ndarray:
         """The 2x2 dressed spin operator entering the coupling, sz_nv(alpha)."""

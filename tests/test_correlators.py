@@ -106,7 +106,7 @@ class TestTwoPoint:
     def test_x_rotation_of_site1(self):
         # rotating site 1 by theta about x turns <s1z(t) s2z> into -cos(2 theta)
         for theta in (0.0, 0.3, 1.1, np.pi / 2):
-            U = np.kron(expm_hermitian(pauli("x"), theta, 1e-10), np.eye(2))
+            U = np.kron(expm_hermitian(pauli("x"), theta), np.eye(2))
             val = two_point(U, basis_state("01"), S1Z, S2Z)
             assert val == pytest.approx(-np.cos(2 * theta), abs=1e-12)
             # cross-check with an explicit matrix product

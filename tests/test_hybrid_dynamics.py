@@ -13,7 +13,8 @@ from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState, Integrat
                                          _hybrid_rhs, _integrate_sampled, _polar_projection,
                                          build_spin_hamiltonian, classical_energy,
                                          connectivity, derivative, energy_budget, integrate,
-                                         separability_defect, site_hamiltonian)
+                                         propagate_nofeedback, separability_defect,
+                                         site_hamiltonian)
 from spinchannel.runner import run_scenario
 from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
                                       expm_hermitian, pauli)
@@ -509,3 +510,94 @@ class TestEnergyBudget:
         assert eb.depth_h0 == pytest.approx(1.5, rel=0.2)
         assert eb.depth_h_nv == pytest.approx(0.763, abs=0.05)
         assert eb.max_total_drift_rel < 1e-6
+
+
+def random_state(seed):
+    z = np.random.default_rng(seed).normal(size=(2, 4))
+    psi = z[0] + 1j * z[1]
+    return psi / np.linalg.norm(psi)
+
+
+class TestPropagateNoFeedback:
+    def test_dark_basis_state_is_stationary(self):
+        # |01> has zero Zeeman eigenvalue; with x = 0 nothing evolves
+        series = propagate_nofeedback(lambda t: (0.0, 0.0), SP, basis_state("01"),
+                                      t_end=10.0, tol=1e-10)
+        assert np.abs(series.coefficients - basis_state("01")).max() < 1e-9
+
+    def test_pure_phase_on_00(self):
+        series = propagate_nofeedback(lambda t: (0.0, 0.0), SP, basis_state("00"),
+                                      t_end=10.0, tol=1e-10, dt_out=1.0)
+        c1 = series.coefficients[:, 0]
+        assert np.abs(np.abs(c1) - 1.0).max() < 1e-9
+        assert np.abs(c1 - np.exp(-1j * SP.omega0 * series.t)).max() < 1e-7
+
+    def test_constant_trajectory_matches_matrix_exponential(self):
+        c1, c2 = 0.8, -0.45
+        psi0 = basis_state("01")
+        series = propagate_nofeedback(lambda t: (c1, c2), SP, psi0,
+                                      t_end=8.0, tol=1e-11, dt_out=0.5)
+        H = build_spin_hamiltonian(c1, c2, SP)
+        for k, t in enumerate(series.t):
+            expected = expm_hermitian(H, t) @ psi0
+            assert np.abs(series.coefficients[k] - expected).max() < 1e-9
+
+    def test_norm_preserved(self):
+        series = propagate_nofeedback(lambda t: (math.sin(t), math.cos(2 * t)), SP,
+                                      basis_state("01"), t_end=50.0, tol=1e-10)
+        norms = np.linalg.norm(series.coefficients, axis=1)
+        assert np.abs(norms - 1.0).max() < 1e-9
+
+    def test_agreement_with_self_consistent_run_when_feedback_off(self):
+        # with g = 0 the trajectory cannot influence the spins: the prescribed
+        # route and the coupled integration must produce the same psi(t)
+        sp0 = SpinParams(omega0=1.5, g=0.0, alpha=math.pi / 3)
+        hybrid = integrate(initial(), weak_k(), sp0, None, 100.0, 0.5, 1e-10)
+        prescribed = propagate_nofeedback(lambda t: (0.0, 0.0), sp0, PSI01,
+                                          t_end=100.0, tol=1e-10, dt_out=0.5)
+        assert np.abs(hybrid.psis - prescribed.coefficients).max() < 1e-7
+
+    def test_tiny_coupling_agreement(self):
+        # g small: the self-consistent trajectory deviates from the g = 0
+        # closed form only at O(g), and psi picks it up at O(g^2 T)
+        spg = SpinParams(omega0=1.5, g=1e-6, alpha=math.pi / 3)
+        op = OscParams(omega1=1.0, omega2=1.5, D=0.125)
+
+        def traj(t):
+            x1, x2 = normal_mode_solution(op, t)[:, 0]
+            return float(x1), float(x2)
+
+        hybrid = integrate(initial(), op, spg, None, 50.0, 0.5, 1e-10)
+        prescribed = propagate_nofeedback(traj, spg, PSI01, t_end=50.0, tol=1e-10, dt_out=0.5)
+        assert np.abs(hybrid.psis - prescribed.coefficients).max() < 1e-7
+
+    def test_rejects_unnormalized_state(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            propagate_nofeedback(lambda t: (0.0, 0.0), SP, np.array([1.0, 1.0, 0, 0]),
+                                 t_end=1.0, tol=1e-9)
+
+    @pytest.mark.parametrize("tol, seed", [(1e-8, 0), (1e-9, 1), (1e-10, 2)])
+    def test_within_tolerance_of_independent_solver(self, tol, seed):
+        # a time-dependent trajectory and a complex psi0, against DOP853 on
+        # the complex Schroedinger equation at 1e-13: the global error stays
+        # below tol * t_end
+        from scipy.integrate import solve_ivp
+
+        def traj(t):
+            return 3.0 * math.sin(1.3 * t), 2.0 * math.cos(0.7 * t)
+
+        psi0 = random_state(seed)
+        series = propagate_nofeedback(traj, SP, psi0, t_end=100.0, tol=tol, dt_out=0.5)
+        ref = solve_ivp(lambda t, psi: -1j * (build_spin_hamiltonian(*traj(t), SP) @ psi),
+                        (0.0, 100.0), psi0, method="DOP853", t_eval=series.t,
+                        rtol=1e-13, atol=1e-13)
+        assert ref.success
+        assert np.abs(series.coefficients - ref.y.T).max() <= tol * 100.0
+
+    @pytest.mark.parametrize("t_bad", [0.0, 1.0])
+    def test_nan_trajectory_raises(self, t_bad):
+        def traj(t):
+            return (math.nan, 0.0) if t >= t_bad else (0.5, 0.0)
+
+        with pytest.raises(IntegrationError, match="integration failed at t = "):
+            propagate_nofeedback(traj, SP, PSI01, t_end=5.0, tol=1e-9)
