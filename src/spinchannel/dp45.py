@@ -10,6 +10,9 @@ size or error norm (NaN or infinite state, parameters or derivatives)
 raises FloatingPointError: NaN never passes the acceptance or underflow
 tests, so the controller would otherwise retry forever.
 
+The error norm of a trial step is the RMS over all components of the
+embedded error estimate h (E @ K), each divided by its scale
+atol + rtol max(|y|, |y_new|); the step is accepted when it is at most 1.
 Error control is per step (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.4), so the promise is tolerance proportionality: the global error
 scales linearly with the tolerance, and halving it halves the endpoint
@@ -26,7 +29,7 @@ import numpy as np
 __all__ = ["DormandPrince45", "StepSizeUnderflowError"]
 
 # Butcher tableau (Dormand & Prince 1980), 7 stages, FSAL.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -92,9 +95,6 @@ class DormandPrince45:
 
     # -- step size machinery -------------------------------------------------
 
-    def _scale(self, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-        return self.atol + self.rtol * np.maximum(np.abs(y0), np.abs(y1))
-
     def _initial_step(self) -> float:
         # Hairer-style heuristic on the first derivative and a trial Euler step.
         sc = self.atol + self.rtol * np.abs(self.y)
@@ -122,22 +122,24 @@ class DormandPrince45:
             return False
         t, y = self.t, self.y
         K = self._K
+        fun, t_end, direction = self.fun, self.t_end, self.direction
+        atol, rtol = self.atol, self.rtol
+        abs_y = np.abs(y)
+        K[0] = self.f
         while True:
             h = self._h
-            if self.direction * (t + h - self.t_end) > 0.0:
-                h = self.t_end - t
+            if direction * (t + h - t_end) > 0.0:
+                h = t_end - t
             if not math.isfinite(h):
                 raise FloatingPointError(f"non-finite step size {h!r} at t = {t!r}")
             if abs(h) < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError(t)
-            K[0] = self.f
             for i in range(1, 6):
-                yi = y + h * (K[:i].T @ _A[i])
-                K[i] = self.fun(t + _C[i] * h, yi)
-            y_new = y + h * (K[:6].T @ _B)
-            K[6] = self.fun(t + h, y_new)
-            err = h * (K.T @ _E)
-            err_norm = math.sqrt(np.mean((err / self._scale(y, y_new)) ** 2))
+                K[i] = fun(t + _C[i] * h, y + h * (_A[i] @ K[:i]))
+            y_new = y + h * (_B @ K[:6])
+            K[6] = fun(t + h, y_new)
+            r = (_E @ K) / (atol + rtol * np.maximum(abs_y, np.abs(y_new)))
+            err_norm = abs(h) * math.sqrt(r @ r / r.size)
             if not math.isfinite(err_norm):
                 raise FloatingPointError(f"non-finite error norm at t = {t!r}, step size {h!r}")
             if err_norm <= 1.0:

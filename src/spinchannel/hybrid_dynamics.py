@@ -282,21 +282,27 @@ def derivative(s: HybridState, op: OscParams, sp: SpinParams,
     H = build_spin_hamiltonian(s.x1, s.x2, sp)
     f1 = _real_expectation(s.psi, embed(sp.site_operator(), 1))
     f2 = _real_expectation(s.psi, embed(sp.site_operator(), 2))
-    a1, a2 = _accelerations(op, sp.g, s.t, s.x1, s.v1, s.x2, s.v2, f1, f2)
+    a1, a2 = _force(op, sp.g)(s.t, s.x1, s.v1, s.x2, s.v2, f1, f2)
     return HybridState(t=s.t, x1=s.v1, v1=a1, x2=s.v2, v2=a2,
                        psi=-1j * (H @ s.psi), U=-1j * (H @ s.U))
 
 
-def _accelerations(op: OscParams, g: float, t: float, x1: float, v1: float,
-                   x2: float, v2: float, f1: float, f2: float) -> tuple[float, float]:
-    """Oscillator accelerations: damped, driven Duffing forces, the linear
-    coupling, and the mean-field back-action -g f_i with f_i = <S_i^z>."""
-    drive = op.F * math.cos(op.Omega * t)
-    a1 = (-2.0 * op.gamma * v1 - op.xi * x1**3 + drive
-          - op.omega1**2 * x1 - op.D * (x1 - x2) - g * f1)
-    a2 = (-2.0 * op.gamma * v2 - op.xi * x2**3 + drive
-          - op.omega2**2 * x2 + op.D * (x1 - x2) - g * f2)
-    return a1, a2
+def _force(op: OscParams, g: float):
+    """The oscillator accelerations (a1, a2) as a function of
+    (t, x1, v1, x2, v2, f1, f2), with the parameters bound once: damped,
+    driven Duffing forces, the linear coupling, and the mean-field
+    back-action -g f_i with f_i = <S_i^z>."""
+    two_gamma, xi, F, Omega, D = 2.0 * op.gamma, op.xi, op.F, op.Omega, op.D
+    w1sq, w2sq = op.omega1**2, op.omega2**2
+
+    def force(t: float, x1: float, v1: float, x2: float, v2: float,
+              f1: float, f2: float) -> tuple[float, float]:
+        drive = F * math.cos(Omega * t)
+        a1 = -two_gamma * v1 - xi * x1**3 + drive - w1sq * x1 - D * (x1 - x2) - g * f1
+        a2 = -two_gamma * v2 - xi * x2**3 + drive - w2sq * x2 + D * (x1 - x2) - g * f2
+        return a1, a2
+
+    return force
 
 
 def _real_expectation(psi: np.ndarray, op: np.ndarray) -> float:
@@ -382,13 +388,22 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
     lift = _real_form(np.kron(_I4, phi0[None, :]))     # u -> psi, (8, 32)
     B = np.vstack([_spin_maps(sp)] + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
 
+    force = _force(op, g)
+    coeffs = np.ones(3)   # [1, g x1, g x2], refilled by each call
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         u = y[4:]
         z = (B @ u).reshape(5, 32)
         f1, f2 = (z[3:] @ u).tolist()
         x1, v1, x2, v2 = y[:4].tolist()
-        a1, a2 = _accelerations(op, g, t, x1, v1, x2, v2, f1, f2)
-        return np.concatenate(((v1, a1, v2, a2), np.array([1.0, g * x1, g * x2]) @ z[:3]))
+        out = np.empty(36)
+        out[0] = v1
+        out[2] = v2
+        out[1], out[3] = force(t, x1, v1, x2, v2, f1, f2)
+        coeffs[1] = g * x1
+        coeffs[2] = g * x2
+        np.matmul(coeffs, z[:3], out=out[4:])
+        return out
 
     return rhs
 
@@ -426,11 +441,14 @@ def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
     (None if U is kept).
     """
     U = y[-32:].view(complex).reshape(4, 4)
-    drift = abs(np.linalg.norm(U @ phi0) - 1.0)
     G = U.conj().T @ U
+    # |psi|^2 = phi0^dagger G phi0
+    drift = abs(math.sqrt(np.vdot(phi0, G @ phi0).real) - 1.0)
     udef = float(np.abs(G - _I4).max())
-    diag.max_step_norm_drift = max(diag.max_step_norm_drift, drift)
-    diag.max_step_unitarity_defect = max(diag.max_step_unitarity_defect, udef)
+    if drift > diag.max_step_norm_drift:
+        diag.max_step_norm_drift = drift
+    if udef > diag.max_step_unitarity_defect:
+        diag.max_step_unitarity_defect = udef
     diag.cum_norm_drift += drift
     diag.cum_unitarity_defect += udef
     if diag.cum_norm_drift > CUM_DRIFT_LIMIT:
@@ -439,7 +457,9 @@ def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
             f"{CUM_DRIFT_LIMIT:.1e}; tolerance {tol:.1e} is too loose for this run")
     if drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
         return None
-    return np.concatenate((y[:-32], _polar_projection(U, G).reshape(-1).view(float)))
+    y = y.copy()
+    y[-32:] = _polar_projection(U, G).reshape(-1).view(float)
+    return y
 
 
 def _fix_samples(U: np.ndarray, phi0: np.ndarray, t: np.ndarray,
@@ -477,9 +497,10 @@ def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, to
     returns a corrected state to substitute, or None to keep it.  Failures
     other than IntegrationError are re-raised as IntegrationError.
     """
-    stepper = DormandPrince45(rhs, t_grid[0], y0, t_end, rtol=tol, atol=tol)
+    stepper = None
     next_k = 1
     try:
+        stepper = DormandPrince45(rhs, t_grid[0], y0, t_end, rtol=tol, atol=tol)
         while stepper.step():
             while next_k < t_grid.size and \
                     t_grid[next_k] <= stepper.t + 1e-12 * max(1.0, abs(stepper.t)):
@@ -491,7 +512,8 @@ def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, to
     except IntegrationError:
         raise
     except Exception as exc:
-        raise IntegrationError(f"integration failed at t = {stepper.t}: {exc}") from exc
+        t = t_grid[0] if stepper is None else stepper.t
+        raise IntegrationError(f"integration failed at t = {t}: {exc}") from exc
     return stepper
 
 

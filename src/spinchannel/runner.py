@@ -150,20 +150,19 @@ def write_output(result: RunResult, fmt: str, path: str) -> None:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     header = HYBRID_CSV_HEADER if result.kind == "hybrid" else QUANTUM_CSV_HEADER
-    rows = zip(*_columns(result))
+    # Python floats, so that % and json format them without a numpy scalar
+    # round trip
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in _columns(result)))
     if fmt == "csv":
-        row_fmt = ",".join(["%.17g"] * len(header))
-        lines = [",".join(header)]
-        lines.extend(row_fmt % row for row in rows)
-        text = "\n".join(lines) + "\n"
+        row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write(",".join(header) + "\n")
+            fh.writelines(row_fmt % row for row in rows)
         return
-    records = [dict(zip(header, (float(v) for v in row))) for row in rows]
     payload = {
         "config_text": result.config_text,
         "kind": result.kind,
-        "records": records,
+        "records": [dict(zip(header, row)) for row in rows],
         "diagnostics": result.diagnostics,
     }
     with open(path, "w", encoding="ascii") as fh:

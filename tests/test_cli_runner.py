@@ -9,7 +9,7 @@ from spinchannel.cli import main
 from spinchannel.config import (ConfigError, ScenarioConfig, parse_config,
                                 preset_config, preset_names, render_config)
 from spinchannel.hybrid_dynamics import IntegrationDiagnostics, TimeSeries
-from spinchannel.runner import (HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER, RunResult,
+from spinchannel.runner import (HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER, RunResult, _columns,
                                 run_scenario, sweep, write_output)
 
 # every preset checked field-for-field against the published parameter tables
@@ -274,6 +274,10 @@ class TestWriteOutput:
         path = tmp_path / "empty.csv"
         write_output(res, "csv", str(path))
         assert path.read_text() == ",".join(HYBRID_CSV_HEADER) + "\n"
+        path = tmp_path / "empty.json"
+        write_output(res, "json", str(path))
+        assert path.read_text() == json.dumps({"config_text": res.config_text, "kind": "hybrid",
+                                               "records": [], "diagnostics": {}}, indent=1) + "\n"
 
     def test_single_record_round_trip(self, tmp_path):
         cfg = short(preset_config("fig2"), t_end=0.0)
@@ -298,6 +302,21 @@ class TestWriteOutput:
             row = [float(v) for v in line.split(",")]
             assert row[1] == res.series.x1[k]
             assert row[11] == res.series.otoc[k]
+        per_cell = [",".join(HYBRID_CSV_HEADER)]
+        per_cell += [",".join("%.17g" % v for v in row) for row in zip(*_columns(res))]
+        assert path.read_text() == "\n".join(per_cell) + "\n"
+
+    @pytest.mark.parametrize("name, t_end", [("fig2", 1.0), ("fig8", 20.0)])
+    def test_json_bytes_equal_json_dump(self, tmp_path, name, t_end):
+        res = run_scenario(short(preset_config(name), t_end=t_end))
+        header = HYBRID_CSV_HEADER if res.kind == "hybrid" else QUANTUM_CSV_HEADER
+        records = [dict(zip(header, map(float, row))) for row in zip(*_columns(res))]
+        assert len(records) > 10
+        payload = {"config_text": res.config_text, "kind": res.kind, "records": records,
+                   "diagnostics": res.diagnostics}
+        path = tmp_path / "run.json"
+        write_output(res, "json", str(path))
+        assert path.read_text() == json.dumps(payload, indent=1) + "\n"
 
     def test_json_mirrors_records_and_echoes_config(self, tmp_path):
         cfg = short(preset_config("fig2"), t_end=1.0, dt_out=0.5)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from spinchannel.dp45 import DormandPrince45, StepSizeUnderflowError
+from spinchannel.dp45 import (_A, _B, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA,
+                              _SAFETY, DormandPrince45, StepSizeUnderflowError)
 
 
 def drive(stepper):
@@ -117,3 +118,102 @@ class TestReplaceState:
                 s.replace_state(s.y / n)
         assert np.hypot(*s.y) == pytest.approx(1.0, abs=1e-12)
         assert s.y[0] == pytest.approx(np.cos(20.0), abs=1e-6)
+
+
+class ReferenceDP45(DormandPrince45):
+    """The stepper with its stage sums written over transposed views
+    (K[:i].T @ A_i) and the error norm as an np.mean of the squared scaled
+    error: the formulas of the straightforward implementation.  It records
+    the error norm of every trial step in trial_norms."""
+
+    def __init__(self, *args, **kwargs):
+        self.trial_norms = []
+        super().__init__(*args, **kwargs)
+
+    def step(self):
+        if self.finished:
+            return False
+        t, y = self.t, self.y
+        K = self._K
+        while True:
+            h = self._h
+            if self.direction * (t + h - self.t_end) > 0.0:
+                h = self.t_end - t
+            K[0] = self.f
+            for i in range(1, 6):
+                K[i] = self.fun(t + _C[i] * h, y + h * (K[:i].T @ _A[i]))
+            y_new = y + h * (K[:6].T @ _B)
+            K[6] = self.fun(t + h, y_new)
+            err = h * (K.T @ _E)
+            scale = self.atol + self.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = math.sqrt(np.mean((err / scale) ** 2))
+            self.trial_norms.append(err_norm)
+            if err_norm <= 1.0:
+                break
+            self.n_rejected += 1
+            self._h = h * max(_MIN_FACTOR, min(0.9, _SAFETY * err_norm ** -0.2))
+        self.t_old, self.y_old = t, y
+        self.t = t + h
+        self.y = y_new
+        self.f = K[6].copy()
+        self._h_last = h
+        self.n_steps += 1
+        factor = (_MAX_FACTOR if err_norm == 0.0
+                  else _SAFETY * err_norm ** -_PI_ALPHA * self._err_prev ** _PI_BETA)
+        self._err_prev = max(err_norm, 1e-4)
+        self._h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        return True
+
+
+def six_oscillators(t, y):
+    return np.concatenate((y[6:], -np.linspace(5.0, 20.0, 6) ** 2 * y[:6]))
+
+
+SIX_Y0 = np.concatenate((np.linspace(1.0, 0.5, 6), np.zeros(6)))
+
+
+class TestAgainstReference:
+    """Six undamped oscillators up to omega = 20, started with h = 0.5, which
+    is far too large: the first trials are rejected."""
+
+    @staticmethod
+    def pair(tol):
+        ours = DormandPrince45(six_oscillators, 0.0, SIX_Y0, 3.0, rtol=tol, atol=tol)
+        ref = ReferenceDP45(six_oscillators, 0.0, SIX_Y0, 3.0, rtol=tol, atol=tol)
+        ours._h = ref._h = 0.5
+        return ours, ref
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10])
+    def test_same_decisions_from_the_same_state(self, tol):
+        ours, ref = self.pair(tol)
+        rejected = 0
+        while True:   # each step starts from the reference's state
+            ours.t, ours.y, ours.f = ref.t, ref.y, ref.f
+            ours._h, ours._err_prev = ref._h, ref._err_prev
+            ours.n_rejected = rejected
+            assert ours.step() and ref.step()
+            assert ours.n_rejected == ref.n_rejected
+            assert abs(ours._h_last / ref._h_last - 1.0) <= 1e-12
+            assert abs(ours._h / ref._h - 1.0) <= 1e-12
+            if ref.finished:
+                break
+            rejected = ref.n_rejected
+        assert ref.n_rejected >= 2
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_same_decisions_over_a_run(self, tol):
+        # free-running, the rounding differences of the two sets of formulas
+        # feed back through the controller; they may break a tie (an error
+        # norm within 1e-9 of 1) either way, after which the runs part
+        steppers = self.pair(tol)
+        decisions = []   # accept (True) or reject (False), trial by trial
+        for s in steppers:
+            trials, rejected = [], 0
+            while s.step():
+                trials += [False] * (s.n_rejected - rejected) + [True]
+                rejected = s.n_rejected
+            decisions.append(trials)
+        norms = steppers[1].trial_norms
+        assert len(norms) == len(decisions[1])
+        n = next((k for k, e in enumerate(norms) if abs(e - 1.0) < 1e-9), len(norms))
+        assert decisions[0][:n] == decisions[1][:n]

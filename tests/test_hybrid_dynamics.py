@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinchannel import correlators, hybrid_dynamics, preset_config
 from spinchannel.correlators import otoc_product
-from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState, IntegrationError,
-                                         OscParams, Regime, RegimeError,
+from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState,
+                                         IntegrationDiagnostics, IntegrationError,
+                                         OscParams, Regime, RegimeError, _guard_step,
                                          _hybrid_rhs, _integrate_sampled, _polar_projection,
                                          build_spin_hamiltonian, classical_energy,
                                          connectivity, derivative, energy_budget, integrate,
@@ -256,6 +257,46 @@ class TestPolarProjection:
                           U=2.0 * np.eye(4, dtype=complex))
         with pytest.raises(IntegrationError, match="t = 0.0"):
             integrate(bad, weak_k(), SP, None, 0.0, 0.1, 1e-9)
+
+
+class TestGuardStep:
+    """The accepted-step guard takes the norm drift of psi = U phi0 from the
+    Gram matrix G = U^dagger U it forms for the unitarity defect."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_defect=st.floats(-14.0, -9.0))
+    @example(seed=0, log_defect=-14.0)
+    @example(seed=0, log_defect=-9.0)
+    def test_drift_from_gram_matches_norm(self, seed, log_defect):
+        rng = np.random.default_rng(seed)
+        U = near_unitary(rng, 10.0 ** log_defect)
+        phi0 = random_unitary(rng.normal(size=32))[:, 0]
+        y = np.concatenate((rng.normal(size=4), U.reshape(-1).view(float)))
+        y_in = y.copy()
+        diag = IntegrationDiagnostics()
+        y_corr = _guard_step(y, phi0, diag, 1e-9)
+        drift = abs(np.linalg.norm(U @ phi0) - 1.0)
+        udef = np.abs(gram(U) - np.eye(4)).max()
+        assert abs(diag.max_step_norm_drift - drift) <= 1e-15
+        assert diag.cum_norm_drift == diag.max_step_norm_drift
+        assert diag.max_step_unitarity_defect == pytest.approx(udef, rel=1e-12)
+        assert np.array_equal(y, y_in)
+        if diag.max_step_norm_drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
+            assert y_corr is None
+        else:
+            assert np.array_equal(y_corr[:4], y[:4])
+            P = y_corr[4:].view(complex).reshape(4, 4)
+            assert np.abs(gram(P) - np.eye(4)).max() <= RENORM_THRESHOLD
+        # a second, exactly unitary step adds to the sums and keeps the maxima
+        first, second = dataclasses.replace(diag), IntegrationDiagnostics()
+        exact = np.concatenate((y[:4], np.eye(4, dtype=complex).reshape(-1).view(float)))
+        assert _guard_step(exact, phi0, second, 1e-9) is None
+        assert _guard_step(exact, phi0, diag, 1e-9) is None
+        assert second.max_step_unitarity_defect == 0.0
+        assert diag.max_step_unitarity_defect == first.max_step_unitarity_defect
+        assert diag.max_step_norm_drift == max(first.max_step_norm_drift,
+                                               second.max_step_norm_drift)
+        assert diag.cum_norm_drift == first.cum_norm_drift + second.cum_norm_drift
 
 
 def unitary_from_angles(a, b, c):
@@ -600,4 +641,14 @@ class TestPropagateNoFeedback:
             return (math.nan, 0.0) if t >= t_bad else (0.5, 0.0)
 
         with pytest.raises(IntegrationError, match="integration failed at t = "):
+            propagate_nofeedback(traj, SP, PSI01, t_end=5.0, tol=1e-9)
+
+    def test_trajectory_failing_at_start_raises_integration_error(self):
+        # the stepper evaluates the rhs while it is built, before the first step
+        def traj(t):
+            if t == 0.0:
+                raise ValueError("no trajectory before t = 0+")
+            return (0.5, 0.0)
+
+        with pytest.raises(IntegrationError, match=r"failed at t = 0\.0: no trajectory"):
             propagate_nofeedback(traj, SP, PSI01, t_end=5.0, tol=1e-9)
