@@ -7,6 +7,8 @@ Subcommands:
 
 Failures exit nonzero and print a one-line machine-readable JSON error
 object to stderr with a category of config, integration, io or usage.
+Integration errors also carry ``t`` and ``h``, the time and signed step size
+of the stepper when it failed (null where there was none).
 """
 
 from __future__ import annotations
@@ -150,8 +152,9 @@ def _cmd_presets(_args) -> int:
     return EXIT_OK
 
 
-def _fail(category: str, message: str, code: int) -> int:
-    sys.stderr.write(json.dumps({"error": {"category": category, "message": message}}) + "\n")
+def _fail(category: str, message: str, code: int, **locus) -> int:
+    error = {"category": category, "message": message, **locus}
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
     return code
 
 
@@ -170,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, RegimeError) as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     except IntegrationError as exc:
-        return _fail("integration", str(exc), EXIT_INTEGRATION)
+        return _fail("integration", str(exc), EXIT_INTEGRATION, t=exc.t, h=exc.h)
     except _IOFailure as exc:
         return _fail("io", str(exc), EXIT_IO)
     except ValueError as exc:

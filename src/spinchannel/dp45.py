@@ -28,7 +28,10 @@ import numpy as np
 
 __all__ = ["DormandPrince45", "StepSizeUnderflowError"]
 
-# Butcher tableau (Dormand & Prince 1980), 7 stages, FSAL.
+# Butcher tableau (Dormand & Prince 1980), 7 stages, FSAL.  The per-step
+# products with it are small 1-D/2-D ones and use ndarray.dot, which runs
+# the same BLAS routine as `@` (bit-identical results) without the matmul
+# gufunc dispatch, 0.4-0.8 us a call.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = [
     np.array([]),
@@ -116,6 +119,11 @@ class DormandPrince45:
     def finished(self) -> bool:
         return self.direction * (self.t_end - self.t) <= 0.0
 
+    @property
+    def h(self) -> float:
+        """Signed size of the step being tried, or of the next one."""
+        return self._h
+
     def step(self) -> bool:
         """Advance one accepted step.  Returns False once t_end is reached."""
         if self.finished:
@@ -135,11 +143,11 @@ class DormandPrince45:
             if abs(h) < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError(t)
             for i in range(1, 6):
-                K[i] = fun(t + _C[i] * h, y + h * (_A[i] @ K[:i]))
-            y_new = y + h * (_B @ K[:6])
+                K[i] = fun(t + _C[i] * h, y + h * _A[i].dot(K[:i]))
+            y_new = y + h * _B.dot(K[:6])
             K[6] = fun(t + h, y_new)
-            r = (_E @ K) / (atol + rtol * np.maximum(abs_y, np.abs(y_new)))
-            err_norm = abs(h) * math.sqrt(r @ r / r.size)
+            r = _E.dot(K) / (atol + rtol * np.maximum(abs_y, np.abs(y_new)))
+            err_norm = abs(h) * math.sqrt(r.dot(r) / r.size)
             if not math.isfinite(err_norm):
                 raise FloatingPointError(f"non-finite error norm at t = {t!r}, step size {h!r}")
             if err_norm <= 1.0:
@@ -168,7 +176,7 @@ class DormandPrince45:
             return self.y.copy()
         theta = (t - self.t_old) / self._h_last
         p = np.array([theta, theta**2, theta**3, theta**4])
-        return self.y_old + self._h_last * ((self._K.T @ _P) @ p)
+        return self.y_old + self._h_last * self._K.T.dot(_P).dot(p)
 
     def replace_state(self, y: np.ndarray) -> None:
         """Substitute a corrected current state; refreshes the FSAL derivative."""

@@ -78,7 +78,18 @@ class RegimeError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Integration failed (stiffness or excessive invariant drift)."""
+    """Integration failed (stiffness or excessive invariant drift).
+
+    ``t`` and ``h`` locate a failure of the stepping loop: the stepper's time
+    and its signed step size, the step being tried or, after an accepted
+    step, the next one proposed.  If the stepper was never built, t is the
+    start time and h is None; both are None for a failure outside the loop.
+    """
+
+    def __init__(self, message: str, t: float | None = None, h: float | None = None):
+        super().__init__(message)
+        self.t = t
+        self.h = h
 
 
 @dataclass(frozen=True)
@@ -236,7 +247,13 @@ class CoefficientSeries:
 @dataclass
 class EnergyBudget:
     """Energy bookkeeping of a run: classical H0, spin <H_NV>, interaction <V>,
-    their modulation depths (max - min), and the relative drift of the total."""
+    their modulation depths (max - min), and the drift of the total.
+
+    ``max_total_drift_rel`` divides the drift by |total(t0)|, which is near 0
+    for some valid inputs (|01> at a small displacement: its spin energy is
+    0).  ``max_total_drift_scaled`` divides it by the energy scale of the
+    run, the largest |H0| + |<H_NV>| + |<V>| over the samples.
+    """
 
     h0: np.ndarray
     h_nv: np.ndarray
@@ -246,6 +263,7 @@ class EnergyBudget:
     depth_h_nv: float
     depth_v: float
     max_total_drift_rel: float
+    max_total_drift_scaled: float
 
 
 def site_hamiltonian(x: float, sp: SpinParams) -> np.ndarray:
@@ -322,10 +340,10 @@ def separability_defect(U: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def _polar_projection(U: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _polar_projection(U: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Nearest unitary matrix (polar factor) of a near-unitary U, or of each
     member of a (..., 4, 4) stack, by the Newton-Schulz iteration
-    U <- U (3I - G)/2 with G = U^dagger U, which the caller has already
+    U <- U (I - E/2) with E = U^dagger U - I, which the caller has already
     formed to measure the defect (Higham 1986).
 
     The unitarity defect is measured after every iteration and squares on
@@ -335,7 +353,6 @@ def _polar_projection(U: np.ndarray, G: np.ndarray) -> np.ndarray:
     or more, or one still above RENORM_THRESHOLD after _POLAR_ITERATIONS,
     raises FloatingPointError rather than returning some other unitary.
     """
-    E = G - _I4
     defect = np.abs(E).max()
     if not defect < 0.25:
         raise FloatingPointError(f"propagator too far from unitary to project "
@@ -393,8 +410,8 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         u = y[4:]
-        z = (B @ u).reshape(5, 32)
-        f1, f2 = (z[3:] @ u).tolist()
+        z = B.dot(u).reshape(5, 32)
+        f1, f2 = z[3:].dot(u).tolist()
         x1, v1, x2, v2 = y[:4].tolist()
         out = np.empty(36)
         out[0] = v1
@@ -402,7 +419,7 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
         out[1], out[3] = force(t, x1, v1, x2, v2, f1, f2)
         coeffs[1] = g * x1
         coeffs[2] = g * x2
-        np.matmul(coeffs, z[:3], out=out[4:])
+        np.dot(coeffs, z[:3], out=out[4:])
         return out
 
     return rhs
@@ -441,10 +458,11 @@ def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
     (None if U is kept).
     """
     U = y[-32:].view(complex).reshape(4, 4)
-    G = U.conj().T @ U
+    G = U.conj().T.dot(U)
     # |psi|^2 = phi0^dagger G phi0
-    drift = abs(math.sqrt(np.vdot(phi0, G @ phi0).real) - 1.0)
-    udef = float(np.abs(G - _I4).max())
+    drift = abs(math.sqrt(np.vdot(phi0, G.dot(phi0)).real) - 1.0)
+    E = G - _I4
+    udef = float(np.abs(E).max())
     if drift > diag.max_step_norm_drift:
         diag.max_step_norm_drift = drift
     if udef > diag.max_step_unitarity_defect:
@@ -458,7 +476,7 @@ def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
     if drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
         return None
     y = y.copy()
-    y[-32:] = _polar_projection(U, G).reshape(-1).view(float)
+    y[-32:] = _polar_projection(U, E).reshape(-1).view(float)
     return y
 
 
@@ -472,15 +490,15 @@ def _fix_samples(U: np.ndarray, phi0: np.ndarray, t: np.ndarray,
     """
     psi = U @ phi0
     drift = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-    G = _dagger(U) @ U
-    udef = np.abs(G - _I4).max(axis=(-2, -1))
+    E = _dagger(U) @ U - _I4
+    udef = np.abs(E).max(axis=(-2, -1))
     diag.max_output_norm_drift = max(diag.max_output_norm_drift, float(drift.max()))
     diag.max_output_unitarity_defect = max(diag.max_output_unitarity_defect,
                                            float(udef.max()))
     fix = (drift > RENORM_THRESHOLD) | (udef > RENORM_THRESHOLD)
     if fix.any():
         try:
-            U[fix] = _polar_projection(U[fix], G[fix])
+            U[fix] = _polar_projection(U[fix], E[fix])
         except FloatingPointError as exc:
             raise IntegrationError(f"projection of the samples at t = "
                                    f"{t[fix][0]}..{t[fix][-1]} failed: {exc}") from exc
@@ -495,10 +513,15 @@ def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, to
     ``sample(k, y)`` receives the dense output at each later grid time;
     ``correct(y)`` receives every accepted state, records its invariants and
     returns a corrected state to substitute, or None to keep it.  Failures
-    other than IntegrationError are re-raised as IntegrationError.
+    other than IntegrationError are re-raised as IntegrationError; every
+    IntegrationError leaves with the stepper's t and h.
     """
     stepper = None
     next_k = 1
+
+    def locus() -> tuple[float, float | None]:
+        return (float(t_grid[0]), None) if stepper is None else (stepper.t, stepper.h)
+
     try:
         stepper = DormandPrince45(rhs, t_grid[0], y0, t_end, rtol=tol, atol=tol)
         while stepper.step():
@@ -509,11 +532,12 @@ def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, to
             y_corr = correct(stepper.y)
             if y_corr is not None:
                 stepper.replace_state(y_corr)
-    except IntegrationError:
+    except IntegrationError as exc:
+        exc.t, exc.h = locus()
         raise
     except Exception as exc:
-        t = t_grid[0] if stepper is None else stepper.t
-        raise IntegrationError(f"integration failed at t = {t}: {exc}") from exc
+        t, h = locus()
+        raise IntegrationError(f"integration failed at t = {t}: {exc}", t, h) from exc
     return stepper
 
 
@@ -627,7 +651,7 @@ def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinP
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
         x1, x2 = traj(t)
-        return np.array([1.0, g * x1, g * x2]) @ (maps @ u).reshape(3, 32)
+        return np.array([1.0, g * x1, g * x2]).dot(maps.dot(u).reshape(3, 32))
 
     diag = IntegrationDiagnostics()
     _, Us = _propagate(rhs, _I4.reshape(-1).view(float), t_grid, t_end, tol, psi0, diag)
@@ -643,11 +667,14 @@ def energy_budget(series: TimeSeries, sp: SpinParams, op: OscParams) -> EnergyBu
     the injected energy.
     """
     total = series.h0 + series.h_nv + series.v_int
+    drift = float(np.abs(total - total[0]).max())
     ref = abs(total[0]) if total[0] != 0 else 1.0
+    scale = float((np.abs(series.h0) + np.abs(series.h_nv) + np.abs(series.v_int)).max())
     return EnergyBudget(
         h0=series.h0, h_nv=series.h_nv, v_int=series.v_int, total=total,
         depth_h0=float(series.h0.max() - series.h0.min()),
         depth_h_nv=float(series.h_nv.max() - series.h_nv.min()),
         depth_v=float(series.v_int.max() - series.v_int.min()),
-        max_total_drift_rel=float(np.abs(total - total[0]).max() / ref),
+        max_total_drift_rel=drift / ref,
+        max_total_drift_scaled=drift / scale if scale > 0 else drift,
     )

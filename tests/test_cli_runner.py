@@ -417,6 +417,17 @@ class TestCli:
         assert elapsed < 1.0
         assert not list(tmp_path.iterdir())
 
+    def test_integration_error_names_its_locus(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "fig3", "--tol", "1e-4", "--t-end", "2000",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "integration"
+        assert "norm drift" in err["message"]
+        assert 0.0 < err["t"] < 2000.0
+        assert 0.0 < err["h"] < 2000.0
+        assert not list(tmp_path.iterdir())
+
     def test_io_failure_category(self, tmp_path, capsys):
         code = main(["run", "--scenario", "fig2", "--t-end", "0",
                      "--out", str(tmp_path / "nope" / "x.csv")])

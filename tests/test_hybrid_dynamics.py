@@ -213,7 +213,7 @@ class TestPolarProjection:
         rng = np.random.default_rng(int(-math.log10(defect) * 10))
         for _ in range(20):
             U = near_unitary(rng, defect)
-            P = _polar_projection(U, gram(U))
+            P = _polar_projection(U, gram(U) - np.eye(4))
             assert np.abs(P - svd_polar(U)).max() <= 1e-14
             assert np.abs(gram(P) - np.eye(4)).max() <= RENORM_THRESHOLD
 
@@ -221,7 +221,7 @@ class TestPolarProjection:
         rng = np.random.default_rng(5)
         defects = 10.0 ** rng.uniform(-12, -6, size=64)
         Us = np.stack([near_unitary(rng, d) for d in defects])
-        P = _polar_projection(Us, gram(Us))
+        P = _polar_projection(Us, gram(Us) - np.eye(4))
         assert P.shape == Us.shape
         assert np.abs(P - svd_polar(Us)).max() <= 1e-14
         assert np.abs(gram(P) - np.eye(4)).max() <= RENORM_THRESHOLD
@@ -231,22 +231,22 @@ class TestPolarProjection:
     def test_grossly_non_unitary_raises(self, bad):
         bad = bad.astype(complex)
         with pytest.raises(FloatingPointError, match="unitar"):
-            _polar_projection(bad, gram(bad))
+            _polar_projection(bad, gram(bad) - np.eye(4))
         stack = np.stack([np.eye(4, dtype=complex), bad])
         with pytest.raises(FloatingPointError):
-            _polar_projection(stack, gram(stack))
+            _polar_projection(stack, gram(stack) - np.eye(4))
 
     def test_unconverged_iteration_raises(self):
         # a defect of 0.2 is inside the convergence region, but three
         # iterations leave about 0.75^7 0.2^8 > RENORM_THRESHOLD
         U = near_unitary(np.random.default_rng(2), 0.2)
         with pytest.raises(FloatingPointError, match="after 3 iterations"):
-            _polar_projection(U, gram(U))
+            _polar_projection(U, gram(U) - np.eye(4))
 
     def test_failure_in_a_step_is_an_integration_error_at_t(self):
         def correct(y):
             bad = 2.0 * np.eye(4, dtype=complex)
-            return _polar_projection(bad, gram(bad))
+            return _polar_projection(bad, gram(bad) - np.eye(4))
 
         with pytest.raises(IntegrationError, match="integration failed at t = .*unitary"):
             _integrate_sampled(lambda t, y: np.zeros_like(y), np.zeros(2),
@@ -398,8 +398,11 @@ class TestIntegrate:
             integrate(initial(), weak_k(), SP, None, 1.0, 0.1, 1e-3)
 
     def test_loose_tolerance_trips_drift_failsafe(self):
-        with pytest.raises(IntegrationError, match="norm drift"):
+        with pytest.raises(IntegrationError, match="norm drift") as info:
             integrate(initial(), weak_k(), SP, None, 100.0, 1.0, 1e-4)
+        # raised by the step guard after an accepted step, inside the run
+        assert 0.0 < info.value.t < 100.0
+        assert 0.0 < info.value.h < 100.0
 
     def test_initial_psi_must_be_normalized(self):
         bad = initial(psi=2.0 * PSI01)
@@ -552,6 +555,31 @@ class TestEnergyBudget:
         assert eb.depth_h_nv == pytest.approx(0.763, abs=0.05)
         assert eb.max_total_drift_rel < 1e-6
 
+    def test_scaled_drift_definition(self):
+        # |01> at x1 = 1e-8 starts with a total energy of about 1e-8, so the
+        # drift relative to it says nothing about the integration
+        series = integrate(initial(x1=1e-8), weak_k(), SP, None, 5.0, 0.1, 1e-9)
+        eb = energy_budget(series, SP, weak_k())
+        drift = np.abs(eb.total - eb.total[0]).max()
+        scale = (np.abs(eb.h0) + np.abs(eb.h_nv) + np.abs(eb.v_int)).max()
+        assert eb.max_total_drift_scaled == drift / scale
+        assert eb.max_total_drift_rel == drift / abs(eb.total[0])
+        assert abs(eb.total[0]) < 1e-7 < scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(K=st.floats(0.05, 10.0), xi=st.floats(0.0, 1.0),
+           x1=st.one_of(st.sampled_from([1e-8, -1e-8]), st.floats(-1.5, 1.5)),
+           tol=st.sampled_from([1e-9, 1e-7]))
+    @example(K=0.1, xi=0.0, x1=1e-8, tol=1e-9)
+    @example(K=10.0, xi=1.0, x1=-1.5, tol=1e-7)
+    def test_scaled_drift_follows_tolerance(self, K, xi, x1, tol):
+        # autonomous runs conserve the total; its drift over the run's energy
+        # scale stays within a fixed multiple of the tolerance
+        op = OscParams.from_connectivity(1.0, 1.5, K, xi=xi)
+        series = integrate(initial(x1=x1), op, SP, None, 5.0, 0.1, tol)
+        eb = energy_budget(series, SP, op)
+        assert eb.max_total_drift_scaled <= 1e3 * tol
+
 
 def random_state(seed):
     z = np.random.default_rng(seed).normal(size=(2, 4))
@@ -640,8 +668,14 @@ class TestPropagateNoFeedback:
         def traj(t):
             return (math.nan, 0.0) if t >= t_bad else (0.5, 0.0)
 
-        with pytest.raises(IntegrationError, match="integration failed at t = "):
+        with pytest.raises(IntegrationError, match="integration failed at t = ") as info:
             propagate_nofeedback(traj, SP, PSI01, t_end=5.0, tol=1e-9)
+        # the locus is the step that met the NaN
+        t, h = info.value.t, info.value.h
+        if t_bad == 0.0:
+            assert t == 0.0 and math.isnan(h)
+        else:
+            assert t < t_bad <= t + h
 
     def test_trajectory_failing_at_start_raises_integration_error(self):
         # the stepper evaluates the rhs while it is built, before the first step
@@ -650,5 +684,6 @@ class TestPropagateNoFeedback:
                 raise ValueError("no trajectory before t = 0+")
             return (0.5, 0.0)
 
-        with pytest.raises(IntegrationError, match=r"failed at t = 0\.0: no trajectory"):
+        with pytest.raises(IntegrationError, match=r"failed at t = 0\.0: no trajectory") as info:
             propagate_nofeedback(traj, SP, PSI01, t_end=5.0, tol=1e-9)
+        assert info.value.t == 0.0 and info.value.h is None
