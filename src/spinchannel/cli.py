@@ -7,7 +7,7 @@ Subcommands:
 
 Failures exit nonzero and print a one-line machine-readable JSON error
 object to stderr with a category of config, integration, io or usage.
-Integration errors also carry ``t`` and ``h``, the time and signed step size
+Integration errors also carry ``t`` and ``h``, the time and step size
 of the stepper when it failed (null where there was none).
 """
 

@@ -51,8 +51,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "omega0": ("spin_omega0", _float),
         "g": ("spin_g", _float),
         "alpha": ("alpha", _float),
-        "omega_R": ("omega_R", _float),
-        "delta": ("delta", _float),
     },
     "oscillators": {
         "omega1": ("omega1", _float),
@@ -116,8 +114,6 @@ class ScenarioConfig:
     spin_omega0: float = 1.5
     spin_g: float = 1.0
     alpha: float = math.pi / 3
-    omega_R: float | None = None
-    delta: float | None = None
     # oscillators
     omega1: float = 1.0
     omega2: float = 1.5
@@ -166,8 +162,6 @@ class ScenarioConfig:
         return self.D
 
     def spin_params(self) -> SpinParams:
-        if self.omega_R is not None and self.delta is not None:
-            return SpinParams.from_rabi(self.omega_R, self.delta, self.spin_g)
         return SpinParams(omega0=self.spin_omega0, g=self.spin_g, alpha=self.alpha)
 
     def osc_params(self) -> OscParams:

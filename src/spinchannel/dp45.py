@@ -2,9 +2,9 @@
 
 Propagates the 5th-order solution, controls the embedded 4th-order error
 estimate, exploits FSAL, and exposes the standard quartic interpolant for
-sampling between accepted steps.  Integration direction follows
-sign(t_end - t0).  Callers may substitute a corrected state after an
-accepted step (see ``replace_state``), e.g. to renormalize a wavefunction;
+sampling between accepted steps.  Integration runs forward, from t0 to
+t_end > t0.  Callers may substitute a corrected state after an accepted
+step (see ``replace_state``), e.g. to renormalize a wavefunction;
 the cached FSAL derivative is refreshed when they do.  A non-finite step
 size or error norm (NaN or infinite state, parameters or derivatives)
 raises FloatingPointError: NaN never passes the acceptance or underflow
@@ -12,7 +12,8 @@ tests, so the controller would otherwise retry forever.
 
 The error norm of a trial step is the RMS over all components of the
 embedded error estimate h (E @ K), each divided by its scale
-atol + rtol max(|y|, |y_new|); the step is accepted when it is at most 1.
+tol + tol max(|y|, |y_new|): one tolerance serves as both the relative and
+the absolute one.  The step is accepted when the norm is at most 1.
 Error control is per step (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.4), so the promise is tolerance proportionality: the global error
 scales linearly with the tolerance, and halving it halves the endpoint
@@ -75,17 +76,14 @@ class StepSizeUnderflowError(RuntimeError):
 class DormandPrince45:
     """Drive with ``step()``; inspect ``t``/``y``; sample with ``interpolate``."""
 
-    def __init__(self, fun, t0: float, y0: np.ndarray, t_end: float, *,
-                 rtol: float, atol: float):
-        if t_end == t0:
-            raise ValueError("t_end must differ from t0")
+    def __init__(self, fun, t0: float, y0: np.ndarray, t_end: float, *, tol: float):
+        if not t_end > t0:
+            raise ValueError(f"t_end ({t_end}) must exceed t0 ({t0})")
         self.fun = fun
         self.t = float(t0)
         self.y = np.asarray(y0, dtype=float).copy()
         self.t_end = float(t_end)
-        self.direction = 1.0 if t_end > t0 else -1.0
-        self.rtol = float(rtol)
-        self.atol = float(atol)
+        self.tol = float(tol)
         self.f = np.asarray(fun(self.t, self.y), dtype=float)
         self.n_steps = 0
         self.n_rejected = 0
@@ -94,18 +92,18 @@ class DormandPrince45:
         self._K = np.empty((7, self.y.size))
         self._h_last = 0.0
         self._err_prev = 1.0
-        self._h = self.direction * min(self._initial_step(), abs(t_end - t0))
+        self._h = min(self._initial_step(), self.t_end - self.t)
 
     # -- step size machinery -------------------------------------------------
 
     def _initial_step(self) -> float:
         # Hairer-style heuristic on the first derivative and a trial Euler step.
-        sc = self.atol + self.rtol * np.abs(self.y)
+        sc = self.tol + self.tol * np.abs(self.y)
         d0 = math.sqrt(np.mean((self.y / sc) ** 2))
         d1 = math.sqrt(np.mean((self.f / sc) ** 2))
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        y1 = self.y + h0 * self.direction * self.f
-        f1 = np.asarray(self.fun(self.t + h0 * self.direction, y1), dtype=float)
+        y1 = self.y + h0 * self.f
+        f1 = np.asarray(self.fun(self.t + h0, y1), dtype=float)
         d2 = math.sqrt(np.mean(((f1 - self.f) / sc) ** 2)) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -116,38 +114,33 @@ class DormandPrince45:
     # -- public API ----------------------------------------------------------
 
     @property
-    def finished(self) -> bool:
-        return self.direction * (self.t_end - self.t) <= 0.0
-
-    @property
     def h(self) -> float:
-        """Signed size of the step being tried, or of the next one."""
+        """Size of the step being tried, or of the next one."""
         return self._h
 
     def step(self) -> bool:
         """Advance one accepted step.  Returns False once t_end is reached."""
-        if self.finished:
-            return False
         t, y = self.t, self.y
+        if t >= self.t_end:
+            return False
         K = self._K
-        fun, t_end, direction = self.fun, self.t_end, self.direction
-        atol, rtol = self.atol, self.rtol
+        fun, t_end, tol = self.fun, self.t_end, self.tol
         abs_y = np.abs(y)
         K[0] = self.f
         while True:
             h = self._h
-            if direction * (t + h - t_end) > 0.0:
+            if t + h > t_end:
                 h = t_end - t
             if not math.isfinite(h):
                 raise FloatingPointError(f"non-finite step size {h!r} at t = {t!r}")
-            if abs(h) < 1e-14 * max(1.0, abs(t)):
+            if h < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError(t)
             for i in range(1, 6):
                 K[i] = fun(t + _C[i] * h, y + h * _A[i].dot(K[:i]))
             y_new = y + h * _B.dot(K[:6])
             K[6] = fun(t + h, y_new)
-            r = _E.dot(K) / (atol + rtol * np.maximum(abs_y, np.abs(y_new)))
-            err_norm = abs(h) * math.sqrt(r.dot(r) / r.size)
+            r = _E.dot(K) / (tol + tol * np.maximum(abs_y, np.abs(y_new)))
+            err_norm = h * math.sqrt(r.dot(r) / r.size)
             if not math.isfinite(err_norm):
                 raise FloatingPointError(f"non-finite error norm at t = {t!r}, step size {h!r}")
             if err_norm <= 1.0:

@@ -18,8 +18,8 @@ propagator unitarity defect are recorded and, above a small threshold, U is
 replaced by its polar factor (a Newton-Schulz iteration whose result is
 checked); runs abort if the accumulated drift ever exceeds
 ``CUM_DRIFT_LIMIT`` so a silently inaccurate integration cannot masquerade
-as physics.  The sampled states are stored during stepping and the output
-columns are evaluated afterwards over stacks of samples.
+as physics.  The sampled states are stored during stepping and every output
+column is evaluated afterwards in one pass over the whole stack.
 
 ``propagate_nofeedback`` is the control case without back-action: the spins
 follow a prescribed oscillator trajectory, and U alone is integrated with
@@ -65,7 +65,6 @@ RENORM_THRESHOLD = 1e-12   # per-step defect above which U is projected
 CUM_DRIFT_LIMIT = 1e-6     # run is aborted if accumulated drift exceeds this
 _POLAR_ITERATIONS = 3      # Newton-Schulz iterations before a projection fails
 _POLAR_ROUNDING = 1e-14    # unitarity defect at which the iteration has converged
-_EMIT_BLOCK = 512          # samples per stacked evaluation of the output columns
 
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
@@ -81,7 +80,7 @@ class IntegrationError(RuntimeError):
     """Integration failed (stiffness or excessive invariant drift).
 
     ``t`` and ``h`` locate a failure of the stepping loop: the stepper's time
-    and its signed step size, the step being tried or, after an accepted
+    and its step size, the step being tried or, after an accepted
     step, the next one proposed.  If the stepper was never built, t is the
     start time and h is None; both are None for a failure outside the loop.
     """
@@ -156,11 +155,6 @@ class Regime(enum.Enum):
         raise RegimeError(
             f"parameters (F={op.F}, gamma={op.gamma}, xi={op.xi}) match none of the four "
             f"regimes: autonomous requires F=0 and gamma=0, driven requires F!=0 and gamma!=0")
-
-    def validate(self, op: OscParams) -> None:
-        actual = Regime.classify(op)
-        if actual is not self:
-            raise RegimeError(f"parameters classify as {actual.value}, not {self.value}")
 
 
 @dataclass
@@ -290,13 +284,10 @@ def classical_energy(s: HybridState, op: OscParams) -> float:
             + 0.5 * op.D * (s.x1 - s.x2)**2)
 
 
-def derivative(s: HybridState, op: OscParams, sp: SpinParams,
-               regime: Regime | None = None) -> HybridState:
+def derivative(s: HybridState, op: OscParams, sp: SpinParams) -> HybridState:
     """Time derivative of every dynamical variable, as a HybridState whose
     fields hold the derivatives (x fields carry velocities, v fields carry
     accelerations, psi/U carry d(psi)/dt and dU/dt)."""
-    if regime is not None:
-        regime.validate(op)
     H = build_spin_hamiltonian(s.x1, s.x2, sp)
     f1 = _real_expectation(s.psi, embed(sp.site_operator(), 1))
     f2 = _real_expectation(s.psi, embed(sp.site_operator(), 2))
@@ -506,66 +497,53 @@ def _fix_samples(U: np.ndarray, phi0: np.ndarray, t: np.ndarray,
     return psi
 
 
-def _integrate_sampled(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float,
-                       sample, correct) -> DormandPrince45:
-    """Drive the adaptive DP45 from t_grid[0] to t_end.
-
-    ``sample(k, y)`` receives the dense output at each later grid time;
-    ``correct(y)`` receives every accepted state, records its invariants and
-    returns a corrected state to substitute, or None to keep it.  Failures
-    other than IntegrationError are re-raised as IntegrationError; every
-    IntegrationError leaves with the stepper's t and h.
-    """
-    stepper = None
-    next_k = 1
-
-    def locus() -> tuple[float, float | None]:
-        return (float(t_grid[0]), None) if stepper is None else (stepper.t, stepper.h)
-
-    try:
-        stepper = DormandPrince45(rhs, t_grid[0], y0, t_end, rtol=tol, atol=tol)
-        while stepper.step():
-            while next_k < t_grid.size and \
-                    t_grid[next_k] <= stepper.t + 1e-12 * max(1.0, abs(stepper.t)):
-                sample(next_k, stepper.interpolate(t_grid[next_k]))
-                next_k += 1
-            y_corr = correct(stepper.y)
-            if y_corr is not None:
-                stepper.replace_state(y_corr)
-    except IntegrationError as exc:
-        exc.t, exc.h = locus()
-        raise
-    except Exception as exc:
-        t, h = locus()
-        raise IntegrationError(f"integration failed at t = {t}: {exc}", t, h) from exc
-    return stepper
-
-
 def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float,
-               phi0: np.ndarray, diag: IntegrationDiagnostics) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate a state whose last 32 reals are U, with psi = U phi0, over
-    t_grid under the accepted-step guard.  Returns the leading reals sampled
-    on the grid, (len(y0) - 32, n), and the sampled U, (n, 4, 4), both before
-    the sample fix-up."""
+               phi0: np.ndarray, diag: IntegrationDiagnostics
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate a state whose last 32 reals are U, with psi = U phi0, by the
+    adaptive DP45 from t_grid[0] to t_end, under the accepted-step guard,
+    sampling its dense output at every grid time.
+
+    Returns the leading reals sampled on the grid, (len(y0) - 32, n), and
+    the sampled U, (n, 4, 4), and psi, (n, 4), after the sample fix-up.
+    Failures of the stepping loop other than IntegrationError are re-raised
+    as IntegrationError naming the exception class; every IntegrationError
+    from the loop leaves with the stepper's t and h.
+    """
     m = y0.size - 32
     heads = np.empty((m, t_grid.size))
     Us = np.empty((t_grid.size, 4, 4), dtype=complex)
-
-    def sample(k: int, y: np.ndarray) -> None:
-        heads[:, k] = y[:m]
-        Us[k] = y[m:].view(complex).reshape(4, 4)
-
-    sample(0, y0)
+    heads[:, 0] = y0[:m]
+    Us[0] = y0[m:].view(complex).reshape(4, 4)
     if t_grid.size > 1:
-        stepper = _integrate_sampled(rhs, y0, t_grid, t_end, tol, sample,
-                                     lambda y: _guard_step(y, phi0, diag, tol))
+        stepper = None
+        try:
+            stepper = DormandPrince45(rhs, t_grid[0], y0, t_end, tol=tol)
+            k = 1
+            while stepper.step():
+                t = stepper.t
+                while k < t_grid.size and t_grid[k] <= t + 1e-12 * max(1.0, abs(t)):
+                    y = stepper.interpolate(t_grid[k])
+                    heads[:, k] = y[:m]
+                    Us[k] = y[m:].view(complex).reshape(4, 4)
+                    k += 1
+                y = _guard_step(stepper.y, phi0, diag, tol)
+                if y is not None:
+                    stepper.replace_state(y)
+        except Exception as exc:
+            t, h = (float(t_grid[0]), None) if stepper is None else (stepper.t, stepper.h)
+            if isinstance(exc, IntegrationError):
+                exc.t, exc.h = t, h
+                raise
+            raise IntegrationError(f"integration failed at t = {t}: "
+                                   f"{type(exc).__name__}: {exc}", t, h) from exc
         diag.n_steps = stepper.n_steps
         diag.n_rejected = stepper.n_rejected
-    return heads, Us
+    return heads, Us, _fix_samples(Us, phi0, t_grid, diag)
 
 
 def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
-              regime: Regime | None, t_end: float, dt_out: float, tol: float,
+              t_end: float, dt_out: float, tol: float,
               otoc_ops: tuple[np.ndarray, np.ndarray] | None = None) -> TimeSeries:
     """Integrate the coupled system and sample it every dt_out.
 
@@ -574,16 +552,16 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     must lie in [1e-12, 1e-4].  The OTOC/two-point columns use the probe pair
     ``otoc_ops`` (default sigma1_z, sigma2_z) with the initial psi as the
     reference state.  dt_out is adjusted to the nearest exact divisor of the
-    time span so the grid lands on both endpoints.  The stepper only stores
-    the sampled states; the output columns are evaluated afterwards over
-    stacks of _EMIT_BLOCK samples.
+    time span so the grid lands on both endpoints.  The parameters must
+    classify as one of the four regimes (RegimeError otherwise).  The
+    stepper only stores the sampled states; every output column is evaluated
+    afterwards in one pass over the whole stack.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end ({t_end}) must not precede the initial time ({initial.t})")
     psi0 = _checked_state(initial.psi, tol)
     t_grid = _time_grid(initial.t, t_end, dt_out)
-    regime = Regime.classify(op) if regime is None else regime
-    regime.validate(op)
+    Regime.classify(op)
 
     if otoc_ops is None:
         otoc_ops = (embed(pauli("z"), 1), embed(pauli("z"), 2))
@@ -595,25 +573,13 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     diag = IntegrationDiagnostics()
     y0 = np.concatenate(([initial.x1, initial.v1, initial.x2, initial.v2],
                          U0.reshape(-1).view(float)))
-    xs, Us = _propagate(_hybrid_rhs(op, sp, phi0), y0, t_grid, t_end, tol, phi0, diag)
+    xs, Us, psis = _propagate(_hybrid_rhs(op, sp, phi0), y0, t_grid, t_end, tol, phi0, diag)
 
-    # <sigma> of both sites, then f1, f2 and h_nv
-    n = t_grid.size
+    # <sigma> of both sites, then f1, f2 and h_nv; the copy frees the complex
+    # einsum result
     ops = np.stack(_SIGMA_OPS + list(_coupling_operators(sp)))
-    expect = np.empty((ops.shape[0], n))
-    otoc = np.empty(n)
-    two_pt = np.empty(n, dtype=complex)
-    sep = np.empty(n)
-    psis = np.empty((n, 4), dtype=complex)
-    for a in range(0, n, _EMIT_BLOCK):
-        b = min(a + _EMIT_BLOCK, n)
-        U = Us[a:b]
-        psi = psis[a:b] = _fix_samples(U, phi0, t_grid[a:b], diag)
-        expect[:, a:b] = np.einsum("ki,oij,kj->ok", psi.conj(), ops, psi, optimize=True).real
-        rec = correlators.otoc_product(U, psi0, W, V, t=t_grid[a:b])
-        otoc[a:b] = rec.C
-        two_pt[a:b] = rec.G2
-        sep[a:b] = separability_defect(U)
+    expect = np.einsum("ki,oij,kj->ok", psis.conj(), ops, psis, optimize=True).real.copy()
+    rec = correlators.otoc_product(Us, psi0, W, V, t=t_grid)
 
     x1, v1, x2, v2 = xs
     s1x, s1y, s1z, s2x, s2y, s2z, f1, f2, h_nv = expect
@@ -623,10 +589,10 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
                         psi=psis[-1].copy(), U=Us[-1].copy())
     return TimeSeries(t=t_grid, x1=x1, v1=v1, x2=x2, v2=v2,
                       s1x=s1x, s1y=s1y, s1z=s1z, s2x=s2x, s2y=s2y, s2z=s2z,
-                      otoc=otoc, two_point=two_pt,
+                      otoc=rec.C, two_point=rec.G2,
                       h0=classical_energy(state, op), h_nv=h_nv,
                       v_int=sp.g * x1 * f1 + sp.g * x2 * f2,
-                      sep_defect=sep, psis=psis, Us=Us, psi0=psi0,
+                      sep_defect=separability_defect(Us), psis=psis, Us=Us, psi0=psi0,
                       final_state=final, diagnostics=diag)
 
 
@@ -654,9 +620,8 @@ def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinP
         return np.array([1.0, g * x1, g * x2]).dot(maps.dot(u).reshape(3, 32))
 
     diag = IntegrationDiagnostics()
-    _, Us = _propagate(rhs, _I4.reshape(-1).view(float), t_grid, t_end, tol, psi0, diag)
-    return CoefficientSeries(t=t_grid, coefficients=_fix_samples(Us, psi0, t_grid, diag),
-                             max_norm_drift=diag.max_step_norm_drift)
+    _, _, psis = _propagate(rhs, _I4.reshape(-1).view(float), t_grid, t_end, tol, psi0, diag)
+    return CoefficientSeries(t=t_grid, coefficients=psis, max_norm_drift=diag.max_step_norm_drift)
 
 
 def energy_budget(series: TimeSeries, sp: SpinParams, op: OscParams) -> EnergyBudget:

@@ -51,24 +51,13 @@ class RunResult:
 def _run_hybrid(cfg: ScenarioConfig) -> tuple[TimeSeries, dict]:
     sp = cfg.spin_params()
     op = cfg.osc_params()
-    regime = Regime.classify(op)
     initial = HybridState(t=0.0, x1=cfg.x1, v1=cfg.v1, x2=cfg.x2, v2=cfg.v2,
                           psi=cfg.initial_spin_state())
-    series = integrate(initial, op, sp, regime, t_end=cfg.t_end,
-                       dt_out=cfg.resolved_dt_out(), tol=cfg.tol)
-    d = series.diagnostics
-    diagnostics = {
-        "regime": regime.value,
-        "n_steps": d.n_steps,
-        "n_rejected": d.n_rejected,
-        "max_step_norm_drift": d.max_step_norm_drift,
-        "cum_norm_drift": d.cum_norm_drift,
-        "max_step_unitarity_defect": d.max_step_unitarity_defect,
-        "cum_unitarity_defect": d.cum_unitarity_defect,
-        "max_output_norm_drift": d.max_output_norm_drift,
-        "max_output_unitarity_defect": d.max_output_unitarity_defect,
-        "max_separability_defect": float(series.sep_defect.max()),
-    }
+    series = integrate(initial, op, sp, t_end=cfg.t_end, dt_out=cfg.resolved_dt_out(),
+                       tol=cfg.tol)
+    diagnostics = {"regime": Regime.classify(op).value,
+                   **dataclasses.asdict(series.diagnostics),
+                   "max_separability_defect": float(series.sep_defect.max())}
     return series, diagnostics
 
 

@@ -66,8 +66,7 @@ def hybrid_grid():
             for state_name, psi0 in STATES.items():
                 ini = HybridState(t=0.0, x1=1.0, v1=0.0, x2=0.0, v2=0.0, psi=psi0)
                 start = time.perf_counter()
-                series = integrate(ini, op, SP, None, t_end=100.0, dt_out=0.05,
-                                   tol=TOL_RUNS)
+                series = integrate(ini, op, SP, t_end=100.0, dt_out=0.05, tol=TOL_RUNS)
                 runs[(regime, K, state_name)] = (op, series,
                                                  time.perf_counter() - start)
     return runs
@@ -292,9 +291,9 @@ def test_criterion_7c_time_reversal():
     psi0 = basis_state("01")
     ini = HybridState(t=0.0, x1=1.0, v1=0.0, x2=0.0, v2=0.0, psi=psi0)
     tol = 1e-10
-    f = integrate(ini, op, SP, None, 100.0, 1.0, tol).final_state
+    f = integrate(ini, op, SP, 100.0, 1.0, tol).final_state
     back = HybridState(t=0.0, x1=f.x1, v1=-f.v1, x2=f.x2, v2=-f.v2, psi=f.psi.conj())
-    b = integrate(back, op, SP, None, 100.0, 1.0, tol).final_state
+    b = integrate(back, op, SP, 100.0, 1.0, tol).final_state
     err = max(abs(b.x1 - 1.0), abs(b.v1), abs(b.x2), abs(b.v2),
               np.abs(b.psi.conj() - psi0).max())
     ok = err <= 1e-6
@@ -309,7 +308,7 @@ def test_criterion_7d_tolerance_scaling():
     ini = HybridState(t=0.0, x1=1.0, v1=0.0, x2=0.0, v2=0.0, psi=basis_state("01"))
 
     def endpoint(tol):
-        f = integrate(ini, op, SP, None, 100.0, 10.0, tol).final_state
+        f = integrate(ini, op, SP, 100.0, 10.0, tol).final_state
         return np.array([f.x1, f.v1, f.x2, f.v2])
 
     tol = 1e-8

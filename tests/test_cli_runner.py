@@ -428,6 +428,25 @@ class TestCli:
         assert 0.0 < err["h"] < 2000.0
         assert not list(tmp_path.iterdir())
 
+    def test_integration_error_names_the_exception_class(self, tmp_path, capsys):
+        # x1 = 1e150 overflows the first evaluation of the right-hand side
+        code = main(["run", "--scenario", "fig3", "--set", "x1=1e150", "--t-end", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "integration"
+        assert "OverflowError" in err["message"]
+        assert err["t"] == 0.0 and err["h"] is None
+
+    @pytest.mark.parametrize("key", ["omega_R", "delta", "spin.omega_R", "spin.delta"])
+    def test_rabi_keys_are_not_config_fields(self, key, tmp_path, capsys):
+        code = main(["run", "--scenario", "fig2", "--set", f"{key}=2", "--t-end", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "config"
+        assert "unknown config field" in err["message"]
+
     def test_io_failure_category(self, tmp_path, capsys):
         code = main(["run", "--scenario", "fig2", "--t-end", "0",
                      "--out", str(tmp_path / "nope" / "x.csv")])

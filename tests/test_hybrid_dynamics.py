@@ -11,7 +11,7 @@ from spinchannel.correlators import otoc_product
 from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState,
                                          IntegrationDiagnostics, IntegrationError,
                                          OscParams, Regime, RegimeError, _guard_step,
-                                         _hybrid_rhs, _integrate_sampled, _polar_projection,
+                                         _hybrid_rhs, _polar_projection,
                                          build_spin_hamiltonian, classical_energy,
                                          connectivity, derivative, energy_budget, integrate,
                                          propagate_nofeedback, separability_defect,
@@ -82,9 +82,9 @@ class TestRegime:
         with pytest.raises(RegimeError):
             Regime.classify(weak_k(gamma=0.1))  # damped but undriven
 
-    def test_validate_mismatch(self):
-        with pytest.raises(RegimeError, match="classify as"):
-            Regime.DRIVEN_LINEAR.validate(weak_k())
+    def test_integrate_classifies(self):
+        with pytest.raises(RegimeError):
+            integrate(initial(), weak_k(F=0.5), SP, 1.0, 0.1, 1e-9)
 
 
 class TestSpinHamiltonian:
@@ -146,10 +146,6 @@ class TestDerivative:
         H = build_spin_hamiltonian(s.x1, s.x2, SP)
         assert np.allclose(d.psi, -1j * (H @ s.psi), atol=0)
         assert np.allclose(d.U, -1j * (H @ s.U), atol=0)
-
-    def test_regime_checked_when_supplied(self):
-        with pytest.raises(RegimeError):
-            derivative(initial(), weak_k(), SP, regime=Regime.DRIVEN_NONLINEAR)
 
 
 def random_unitary(values):
@@ -243,20 +239,25 @@ class TestPolarProjection:
         with pytest.raises(FloatingPointError, match="after 3 iterations"):
             _polar_projection(U, gram(U) - np.eye(4))
 
-    def test_failure_in_a_step_is_an_integration_error_at_t(self):
-        def correct(y):
+    def test_failure_in_a_step_is_an_integration_error_at_t(self, monkeypatch):
+        def guard(y, phi0, diag, tol):
             bad = 2.0 * np.eye(4, dtype=complex)
             return _polar_projection(bad, gram(bad) - np.eye(4))
 
-        with pytest.raises(IntegrationError, match="integration failed at t = .*unitary"):
-            _integrate_sampled(lambda t, y: np.zeros_like(y), np.zeros(2),
-                               np.array([0.0, 1.0]), 1.0, 1e-9, lambda k, y: None, correct)
+        monkeypatch.setattr(hybrid_dynamics, "_guard_step", guard)
+        with pytest.raises(IntegrationError, match="integration failed at t = "
+                           ".*FloatingPointError: .*unitary") as info:
+            integrate(initial(), weak_k(), SP, 1.0, 0.5, 1e-9)
+        # the guard of the first accepted step failed: the locus is past t0,
+        # with the next step proposed
+        assert info.value.t > 0.0
+        assert info.value.h is not None and info.value.h > 0.0
 
     def test_failure_in_a_sample_is_an_integration_error(self):
         bad = HybridState(t=0.0, x1=1.0, v1=0.0, x2=0.0, v2=0.0, psi=PSI01,
                           U=2.0 * np.eye(4, dtype=complex))
         with pytest.raises(IntegrationError, match="t = 0.0"):
-            integrate(bad, weak_k(), SP, None, 0.0, 0.1, 1e-9)
+            integrate(bad, weak_k(), SP, 0.0, 0.1, 1e-9)
 
 
 class TestGuardStep:
@@ -333,7 +334,7 @@ class TestIntegrate:
     def test_normal_mode_oracle(self):
         # no feedback, no drive: must match the closed-form two-mode solution
         sp0 = SpinParams(omega0=1.5, g=0.0, alpha=math.pi / 3)
-        series = integrate(initial(), weak_k(), sp0, None, 100.0, 0.5, 1e-9)
+        series = integrate(initial(), weak_k(), sp0, 100.0, 0.5, 1e-9)
         X = normal_mode_solution(weak_k(), series.t)
         assert np.abs(X[0] - series.x1).max() < 1e-6
         assert np.abs(X[1] - series.x2).max() < 1e-6
@@ -343,14 +344,14 @@ class TestIntegrate:
         op = OscParams(omega1=1.0, omega2=1.5, D=0.0, xi=2.0)
         sp0 = SpinParams(omega0=0.0, g=0.0, alpha=0.0)
         tol = 1e-9
-        series = integrate(initial(), op, sp0, None, 100.0, 0.1, tol)
+        series = integrate(initial(), op, sp0, 100.0, 0.1, tol)
         energy = (0.5 * series.v1**2 + 0.5 * op.omega1**2 * series.x1**2
                   + 0.25 * op.xi * series.x1**4)
         assert np.abs(energy - energy[0]).max() < tol * 100.0
         assert np.all(series.x2 == 0.0)
 
     def test_norm_and_unitarity_held_at_outputs(self):
-        series = integrate(initial(), weak_k(), SP, None, 20.0, 0.1, 1e-9)
+        series = integrate(initial(), weak_k(), SP, 20.0, 0.1, 1e-9)
         for k in range(0, len(series), 50):
             assert abs(np.linalg.norm(series.psis[k]) - 1.0) < 1e-8
             U = series.Us[k]
@@ -361,11 +362,11 @@ class TestIntegrate:
         assert d.cum_norm_drift < 1e-6
 
     def test_separability_defect_small(self):
-        series = integrate(initial(), weak_k(xi=1.0), SP, None, 20.0, 0.1, 1e-9)
+        series = integrate(initial(), weak_k(xi=1.0), SP, 20.0, 0.1, 1e-9)
         assert series.sep_defect.max() < 1e-8
 
     def test_strictly_increasing_uniform_grid(self):
-        series = integrate(initial(), weak_k(), SP, None, 10.0, 0.05, 1e-9)
+        series = integrate(initial(), weak_k(), SP, 10.0, 0.05, 1e-9)
         dt = np.diff(series.t)
         assert np.all(dt > 0)
         assert np.abs(dt - dt[0]).max() < 1e-12
@@ -373,33 +374,33 @@ class TestIntegrate:
     def test_halving_tol_changes_endpoint_within_bound(self):
         # short-horizon tolerance consistency on the weak-connectivity scenario
         for tol in (1e-6, 1e-9):
-            a = integrate(initial(), weak_k(), SP, None, 1.0, 0.5, tol)
-            b = integrate(initial(), weak_k(), SP, None, 1.0, 0.5, tol / 2)
+            a = integrate(initial(), weak_k(), SP, 1.0, 0.5, tol)
+            b = integrate(initial(), weak_k(), SP, 1.0, 0.5, tol / 2)
             scale = np.abs(a.x1).max()
             assert abs(a.final_state.x1 - b.final_state.x1) < 10.0 * tol * scale
 
     def test_zero_length_run(self):
-        series = integrate(initial(), weak_k(), SP, None, 0.0, 0.05, 1e-9)
+        series = integrate(initial(), weak_k(), SP, 0.0, 0.05, 1e-9)
         assert len(series) == 1
         assert series.t[0] == 0.0
         assert series.two_point[0] == pytest.approx(-1.0)
 
     def test_nonzero_start_time(self):
         # an autonomous run shifted in time must reproduce the t=0 run
-        base = integrate(initial(), weak_k(), SP, None, 10.0, 0.5, 1e-10)
+        base = integrate(initial(), weak_k(), SP, 10.0, 0.5, 1e-10)
         shifted_ini = HybridState(t=5.0, x1=1.0, v1=0.0, x2=0.0, v2=0.0, psi=PSI01)
-        shifted = integrate(shifted_ini, weak_k(), SP, None, 15.0, 0.5, 1e-10)
+        shifted = integrate(shifted_ini, weak_k(), SP, 15.0, 0.5, 1e-10)
         assert shifted.t[0] == 5.0 and shifted.t[-1] == 15.0
         assert np.abs(shifted.x1 - base.x1).max() < 1e-8
         assert np.abs(shifted.psis - base.psis).max() < 1e-8
 
     def test_tol_domain(self):
         with pytest.raises(ValueError, match="tol"):
-            integrate(initial(), weak_k(), SP, None, 1.0, 0.1, 1e-3)
+            integrate(initial(), weak_k(), SP, 1.0, 0.1, 1e-3)
 
     def test_loose_tolerance_trips_drift_failsafe(self):
         with pytest.raises(IntegrationError, match="norm drift") as info:
-            integrate(initial(), weak_k(), SP, None, 100.0, 1.0, 1e-4)
+            integrate(initial(), weak_k(), SP, 100.0, 1.0, 1e-4)
         # raised by the step guard after an accepted step, inside the run
         assert 0.0 < info.value.t < 100.0
         assert 0.0 < info.value.h < 100.0
@@ -407,25 +408,23 @@ class TestIntegrate:
     def test_initial_psi_must_be_normalized(self):
         bad = initial(psi=2.0 * PSI01)
         with pytest.raises(ValueError, match="not normalized"):
-            integrate(bad, weak_k(), SP, None, 1.0, 0.1, 1e-9)
+            integrate(bad, weak_k(), SP, 1.0, 0.1, 1e-9)
 
     def test_bell_initial_state_runs(self):
-        series = integrate(initial(psi=bell_phi_minus()), weak_k(), SP, None,
-                           10.0, 0.1, 1e-9)
+        series = integrate(initial(psi=bell_phi_minus()), weak_k(), SP, 10.0, 0.1, 1e-9)
         assert series.otoc.max() < 1e-8
 
     def test_custom_probe_pair(self):
         ops = (embed(pauli("x"), 1), embed(pauli("x"), 2))
-        series = integrate(initial(), weak_k(), SP, None, 5.0, 0.1, 1e-9,
-                           otoc_ops=ops)
+        series = integrate(initial(), weak_k(), SP, 5.0, 0.1, 1e-9, otoc_ops=ops)
         assert series.otoc.max() < 1e-8  # still a product propagator
 
     def test_time_reversal_short(self):
         # autonomous and real Hamiltonian: v -> -v, psi -> conj(psi) rewinds
-        f = integrate(initial(), weak_k(), SP, None, 20.0, 1.0, 1e-10).final_state
+        f = integrate(initial(), weak_k(), SP, 20.0, 1.0, 1e-10).final_state
         back = HybridState(t=0.0, x1=f.x1, v1=-f.v1, x2=f.x2, v2=-f.v2,
                            psi=f.psi.conj())
-        b = integrate(back, weak_k(), SP, None, 20.0, 1.0, 1e-10).final_state
+        b = integrate(back, weak_k(), SP, 20.0, 1.0, 1e-10).final_state
         assert abs(b.x1 - 1.0) < 1e-7
         assert abs(b.v1) < 1e-7
         assert np.abs(b.psi.conj() - PSI01).max() < 1e-7
@@ -479,10 +478,11 @@ class TestStackedEmission:
             return otoc_product(*args, **kwargs)
 
         monkeypatch.setattr(correlators, "otoc_product", counting)
-        series = integrate(initial(), weak_k(), SP, None, 12.0, 0.01, 1e-9)
+        series = integrate(initial(), weak_k(), SP, 12.0, 0.01, 1e-9)
         rows = len(series)
         assert rows == 1201
-        assert 1 <= len(calls) <= math.ceil(rows / hybrid_dynamics._EMIT_BLOCK) < rows
+        # the whole run is one block
+        assert len(calls) == 1
 
 
 angles = st.floats(-math.pi, math.pi)
@@ -506,7 +506,7 @@ class TestRandomizedInvariants:
         W = embed(unitary_from_angles(*probes[:3]), 1)
         V = embed(unitary_from_angles(*probes[3:]), 2)
         op = OscParams.from_connectivity(1.0, 1.5, K, xi=xi)
-        series = integrate(initial(psi=psi0, x1=x1), op, SP, None, 5.0, 0.1, 1e-9,
+        series = integrate(initial(psi=psi0, x1=x1), op, SP, 5.0, 0.1, 1e-9,
                            otoc_ops=(W, V))
         d = series.diagnostics
         assert series.otoc.max() <= 1e-10
@@ -534,12 +534,12 @@ class TestClassicalEnergy:
 class TestEnergyBudget:
     def test_decoupled_spin_energy_constant(self):
         sp0 = SpinParams(omega0=1.5, g=0.0, alpha=math.pi / 3)
-        series = integrate(initial(), weak_k(), sp0, None, 50.0, 0.1, 1e-9)
+        series = integrate(initial(), weak_k(), sp0, 50.0, 0.1, 1e-9)
         eb = energy_budget(series, sp0, weak_k())
         assert eb.depth_h_nv < 1e-9
 
     def test_autonomous_conservation(self):
-        series = integrate(initial(), weak_k(), SP, None, 100.0, 0.1, 1e-9)
+        series = integrate(initial(), weak_k(), SP, 100.0, 0.1, 1e-9)
         eb = energy_budget(series, SP, weak_k())
         assert eb.max_total_drift_rel < 1e-6
 
@@ -549,7 +549,7 @@ class TestEnergyBudget:
         # modulation depth matches the quoted 1.5 closely; the spin depth is
         # initial-condition dependent (see notes in the README).
         op = OscParams.from_connectivity(1.0, 1.5, 10.0)
-        series = integrate(initial(), op, SP, None, 100.0, 0.05, 1e-9)
+        series = integrate(initial(), op, SP, 100.0, 0.05, 1e-9)
         eb = energy_budget(series, SP, op)
         assert eb.depth_h0 == pytest.approx(1.5, rel=0.2)
         assert eb.depth_h_nv == pytest.approx(0.763, abs=0.05)
@@ -558,7 +558,7 @@ class TestEnergyBudget:
     def test_scaled_drift_definition(self):
         # |01> at x1 = 1e-8 starts with a total energy of about 1e-8, so the
         # drift relative to it says nothing about the integration
-        series = integrate(initial(x1=1e-8), weak_k(), SP, None, 5.0, 0.1, 1e-9)
+        series = integrate(initial(x1=1e-8), weak_k(), SP, 5.0, 0.1, 1e-9)
         eb = energy_budget(series, SP, weak_k())
         drift = np.abs(eb.total - eb.total[0]).max()
         scale = (np.abs(eb.h0) + np.abs(eb.h_nv) + np.abs(eb.v_int)).max()
@@ -576,7 +576,7 @@ class TestEnergyBudget:
         # autonomous runs conserve the total; its drift over the run's energy
         # scale stays within a fixed multiple of the tolerance
         op = OscParams.from_connectivity(1.0, 1.5, K, xi=xi)
-        series = integrate(initial(x1=x1), op, SP, None, 5.0, 0.1, tol)
+        series = integrate(initial(x1=x1), op, SP, 5.0, 0.1, tol)
         eb = energy_budget(series, SP, op)
         assert eb.max_total_drift_scaled <= 1e3 * tol
 
@@ -621,7 +621,7 @@ class TestPropagateNoFeedback:
         # with g = 0 the trajectory cannot influence the spins: the prescribed
         # route and the coupled integration must produce the same psi(t)
         sp0 = SpinParams(omega0=1.5, g=0.0, alpha=math.pi / 3)
-        hybrid = integrate(initial(), weak_k(), sp0, None, 100.0, 0.5, 1e-10)
+        hybrid = integrate(initial(), weak_k(), sp0, 100.0, 0.5, 1e-10)
         prescribed = propagate_nofeedback(lambda t: (0.0, 0.0), sp0, PSI01,
                                           t_end=100.0, tol=1e-10, dt_out=0.5)
         assert np.abs(hybrid.psis - prescribed.coefficients).max() < 1e-7
@@ -636,7 +636,7 @@ class TestPropagateNoFeedback:
             x1, x2 = normal_mode_solution(op, t)[:, 0]
             return float(x1), float(x2)
 
-        hybrid = integrate(initial(), op, spg, None, 50.0, 0.5, 1e-10)
+        hybrid = integrate(initial(), op, spg, 50.0, 0.5, 1e-10)
         prescribed = propagate_nofeedback(traj, spg, PSI01, t_end=50.0, tol=1e-10, dt_out=0.5)
         assert np.abs(hybrid.psis - prescribed.coefficients).max() < 1e-7
 
@@ -684,6 +684,7 @@ class TestPropagateNoFeedback:
                 raise ValueError("no trajectory before t = 0+")
             return (0.5, 0.0)
 
-        with pytest.raises(IntegrationError, match=r"failed at t = 0\.0: no trajectory") as info:
+        with pytest.raises(IntegrationError,
+                           match=r"failed at t = 0\.0: ValueError: no trajectory") as info:
             propagate_nofeedback(traj, SP, PSI01, t_end=5.0, tol=1e-9)
         assert info.value.t == 0.0 and info.value.h is None

@@ -1,6 +1,8 @@
-"""The repository's pytest configuration reports a failing hypothesis test
-as a failure, with its falsifying example, and goes on with the session."""
+"""Repository tooling: the pytest configuration reports a failing hypothesis
+test as a failure, with its falsifying example, and goes on with the session;
+the sources parse under the oldest supported Python."""
 
+import ast
 import subprocess
 import sys
 import textwrap
@@ -36,3 +38,11 @@ def test_failing_hypothesis_test_is_reported(tmp_path):
     assert "1 failed, 1 passed" in out, out
     assert "INTERNALERROR" not in out, out
     assert "Falsifying example" in out, out
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python is >=3.10; this catches newer syntax on any interpreter
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
