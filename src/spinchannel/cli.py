@@ -173,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, RegimeError) as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     except IntegrationError as exc:
-        return _fail("integration", str(exc), EXIT_INTEGRATION, t=exc.t, h=exc.h)
+        return _fail("integration", str(exc), EXIT_INTEGRATION, t=exc.t, h=exc.h,
+                     err_norm=exc.err_norm)
     except _IOFailure as exc:
         return _fail("io", str(exc), EXIT_IO)
     except ValueError as exc:

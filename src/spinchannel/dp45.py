@@ -65,16 +65,27 @@ _PI_BETA = 0.4 / 5.0
 
 
 class StepSizeUnderflowError(RuntimeError):
-    """Raised when the controller cannot make progress (stiffness)."""
+    """Raised when the controller cannot make progress (stiffness).
 
-    def __init__(self, t: float):
+    ``t`` is the time of the step, ``h`` the step size that fell below the
+    floor and ``err_norm`` the error norm of the last trial step (None if
+    there was none).
+    """
+
+    def __init__(self, t: float, h: float, err_norm: float | None):
         super().__init__(f"step size underflow at t = {t!r}; the problem appears stiff "
                          f"at this tolerance")
         self.t = t
+        self.h = h
+        self.err_norm = err_norm
 
 
 class DormandPrince45:
-    """Drive with ``step()``; inspect ``t``/``y``; sample with ``interpolate``."""
+    """Drive with ``step()``; inspect ``t``/``y``; sample with ``interpolate``.
+
+    ``err_norm`` is the error norm of the last trial step, accepted or not
+    (None before the first).
+    """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_end: float, *, tol: float):
         if not t_end > t0:
@@ -92,6 +103,7 @@ class DormandPrince45:
         self._K = np.empty((7, self.y.size))
         self._h_last = 0.0
         self._err_prev = 1.0
+        self.err_norm = None
         self._h = min(self._initial_step(), self.t_end - self.t)
 
     # -- step size machinery -------------------------------------------------
@@ -134,13 +146,14 @@ class DormandPrince45:
             if not math.isfinite(h):
                 raise FloatingPointError(f"non-finite step size {h!r} at t = {t!r}")
             if h < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflowError(t)
+                raise StepSizeUnderflowError(t, h, self.err_norm)
             for i in range(1, 6):
                 K[i] = fun(t + _C[i] * h, y + h * _A[i].dot(K[:i]))
             y_new = y + h * _B.dot(K[:6])
             K[6] = fun(t + h, y_new)
             r = _E.dot(K) / (tol + tol * np.maximum(abs_y, np.abs(y_new)))
             err_norm = h * math.sqrt(r.dot(r) / r.size)
+            self.err_norm = err_norm
             if not math.isfinite(err_norm):
                 raise FloatingPointError(f"non-finite error norm at t = {t!r}, step size {h!r}")
             if err_norm <= 1.0:

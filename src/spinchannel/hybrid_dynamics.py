@@ -79,16 +79,19 @@ class RegimeError(ValueError):
 class IntegrationError(RuntimeError):
     """Integration failed (stiffness or excessive invariant drift).
 
-    ``t`` and ``h`` locate a failure of the stepping loop: the stepper's time
-    and its step size, the step being tried or, after an accepted
-    step, the next one proposed.  If the stepper was never built, t is the
-    start time and h is None; both are None for a failure outside the loop.
+    ``t``, ``h`` and ``err_norm`` locate a failure of the stepping loop: the
+    stepper's time, its step size (the step being tried or, after an accepted
+    step, the next one proposed) and the error norm of its last trial step.
+    If the stepper was never built, t is the start time and h and err_norm
+    are None; all three are None for a failure outside the loop.
     """
 
-    def __init__(self, message: str, t: float | None = None, h: float | None = None):
+    def __init__(self, message: str, t: float | None = None, h: float | None = None,
+                 err_norm: float | None = None):
         super().__init__(message)
         self.t = t
         self.h = h
+        self.err_norm = err_norm
 
 
 @dataclass(frozen=True)
@@ -508,7 +511,7 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
     the sampled U, (n, 4, 4), and psi, (n, 4), after the sample fix-up.
     Failures of the stepping loop other than IntegrationError are re-raised
     as IntegrationError naming the exception class; every IntegrationError
-    from the loop leaves with the stepper's t and h.
+    from the loop leaves with the stepper's t, h and last err_norm.
     """
     m = y0.size - 32
     heads = np.empty((m, t_grid.size))
@@ -531,12 +534,13 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
                 if y is not None:
                     stepper.replace_state(y)
         except Exception as exc:
-            t, h = (float(t_grid[0]), None) if stepper is None else (stepper.t, stepper.h)
+            t, h, err_norm = ((float(t_grid[0]), None, None) if stepper is None
+                              else (stepper.t, stepper.h, stepper.err_norm))
             if isinstance(exc, IntegrationError):
-                exc.t, exc.h = t, h
+                exc.t, exc.h, exc.err_norm = t, h, err_norm
                 raise
             raise IntegrationError(f"integration failed at t = {t}: "
-                                   f"{type(exc).__name__}: {exc}", t, h) from exc
+                                   f"{type(exc).__name__}: {exc}", t, h, err_norm) from exc
         diag.n_steps = stepper.n_steps
         diag.n_rejected = stepper.n_rejected
     return heads, Us, _fix_samples(Us, phi0, t_grid, diag)

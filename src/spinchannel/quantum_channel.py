@@ -11,8 +11,14 @@ with Omega0 = g^2/(omega0 - omega), Omega_n = Omega0/(2n+1) and
 omega0R = omega0/(2n+1).  Everything downstream (eigensystem, OTOC, thermal
 state, concurrence) is closed-form in these three constants; the numeric
 routes recompute each quantity from dense 4x4 algebra as a cross-check.
-Evaluators take t as a scalar or a 1-D time grid (one spectral decomposition
-of H per call), and the cross-checks hold at every grid point.
+Evaluators take t as a scalar or a 1-D time grid, and the cross-checks hold
+at every grid point.  The numeric routes need the propagator
+U = exp(-i h_total(p) t) on that t; ``otoc_numeric``, ``thermal_otoc`` and
+``thermal_concurrence`` build it (one spectral decomposition of H per call)
+unless it is passed as the keyword-only ``U``.  Given or built, the results
+are the same bytes, so a caller that needs several quantities on one grid
+computes U once and shares it: the quantum runner builds one U per photon
+number, and its columns and both cross-checks all come from it.
 
 The oscillator is never represented as a Fock ladder: n is a fixed
 non-negative real parameter, and the n -> infinity limit (Omega_n -> 0,
@@ -49,7 +55,12 @@ __all__ = [
 
 _S1Z = embed(pauli("z"), 1)
 _S2Z = embed(pauli("z"), 2)
-_YY = np.kron(pauli("y"), pauli("y"))
+# sigma1_z and sigma2_z are diagonal: X @ S is X with its columns scaled
+_S1Z_DIAG = np.diag(_S1Z).real.copy()
+_S2Z_DIAG = np.diag(_S2Z).real.copy()
+# kron(sigma_y, sigma_y) is anti-diagonal with signs (-1, 1, 1, -1): X times
+# it is X with its columns reversed, times these signs
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 CROSS_CHECK_TOL = 1e-10
 EIGENVALUE_CLAMP = -1e-10
@@ -146,13 +157,25 @@ def otoc_bell_spectral(p: QuantumChannelParams, t: float | np.ndarray) -> float 
     return 1.0 - np.cos(4.0 * p.Omega_n * np.asarray(t))
 
 
+def _propagator(p: QuantumChannelParams, t: float | np.ndarray,
+                U: np.ndarray | None) -> np.ndarray:
+    """exp(-i h_total(p) t), or the given U once its shape matches t."""
+    if U is None:
+        return expm_hermitian(h_total(p), t)
+    if np.shape(U) != np.shape(t) + (4, 4):
+        raise ValueError(f"propagator of shape {np.shape(U)} does not match t of shape "
+                         f"{np.shape(t)}; expected {np.shape(t) + (4, 4)}")
+    return U
+
+
 def otoc_numeric(p: QuantumChannelParams, t: float | np.ndarray,
-                 psi0: np.ndarray | None = None) -> float | np.ndarray:
+                 psi0: np.ndarray | None = None, *,
+                 U: np.ndarray | None = None) -> float | np.ndarray:
     """OTOC of sigma1_z(t), sigma2_z on psi0 (default the Bell state),
-    evaluated from the exact propagator of the effective Hamiltonian."""
+    evaluated from the exact propagator U of the effective Hamiltonian on t
+    (built here unless given)."""
     psi0 = bell_phi_minus() if psi0 is None else np.asarray(psi0, dtype=complex)
-    U = expm_hermitian(h_total(p), t)
-    return correlators.otoc_product(U, psi0, _S1Z, _S2Z, t=t).C
+    return correlators.otoc_product(_propagator(p, t, U), psi0, _S1Z, _S2Z, t=t).C
 
 
 def thermal_density(p: QuantumChannelParams) -> np.ndarray:
@@ -196,7 +219,8 @@ def _cross_check(quantity: str, route: str, t, closed, numeric) -> None:
                            f"form {float(closed[k])!r} vs {route} {float(numeric[k])!r}")
 
 
-def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.ndarray:
+def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray, *,
+                 U: np.ndarray | None = None) -> float | np.ndarray:
     """Thermally averaged OTOC of sigma1_z(t), sigma2_z.
 
     Evaluates the closed form
@@ -204,17 +228,17 @@ def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.n
         C = 1 - [cosh(2 beta (Omega0+omega0R)) + cos(4 Omega_n t) cosh(beta Omega_n)]
               / [cosh(2 beta (Omega0+omega0R)) + cosh(beta Omega_n)]
 
-    and the defining trace Re Tr{rho sigma1_z(t) sigma2_z sigma1_z(t) sigma2_z};
-    the two must agree to within CROSS_CHECK_TOL at every t or the call fails.
+    and the defining trace Re Tr{rho sigma1_z(t) sigma2_z sigma1_z(t) sigma2_z}
+    from the propagator U on t (built here unless given); the two must agree
+    to within CROSS_CHECK_TOL at every t or the call fails.
     """
     a = math.cosh(2 * p.beta * p.zeeman)
     b = math.cosh(p.beta * p.Omega_n)
     closed = 1.0 - (a + np.cos(4 * p.Omega_n * np.asarray(t)) * b) / (a + b)
 
-    U = expm_hermitian(h_total(p), t)
-    s1z_t = _dagger(U) @ _S1Z @ U
-    chain = s1z_t @ _S2Z @ s1z_t @ _S2Z
-    traced = 1.0 - np.trace(thermal_density(p) @ chain, axis1=-2, axis2=-1).real
+    U = _propagator(p, t, U)
+    m = ((_dagger(U) * _S1Z_DIAG) @ U) * _S2Z_DIAG  # sigma1_z(t) sigma2_z
+    traced = 1.0 - np.einsum("ij,...ji->...", thermal_density(p), m @ m).real
     _cross_check("thermal OTOC", "trace", t, closed, traced)
     return closed
 
@@ -227,14 +251,18 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     negative eigenvalues in [EIGENVALUE_CLAMP, 0) are clamped to zero;
     anything more negative is rejected.
     """
-    rho = validate_density(rho)
-    R = rho @ _YY @ rho.conj() @ _YY
-    evals = np.linalg.eigvals(R).real
+    evals = np.linalg.eigvals(_spin_flip(validate_density(rho))).real
     if evals.min() < EIGENVALUE_CLAMP:
         raise ValueError(f"spin-flip spectrum has a negative eigenvalue ({evals.min():.3e})")
     roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
     c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
     return np.where(c > 0.0, c, 0.0)[()]
+
+
+def _spin_flip(rho: np.ndarray) -> np.ndarray:
+    """rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y), grouped left to right,
+    with each product by sigma_y x sigma_y taken as a signed column reversal."""
+    return ((rho[..., ::-1] * _YY_SIGNS) @ rho.conj())[..., ::-1] * _YY_SIGNS
 
 
 def gme(c: float | np.ndarray) -> float | np.ndarray:
@@ -247,19 +275,21 @@ def gme(c: float | np.ndarray) -> float | np.ndarray:
     return 0.5 * (1.0 - np.sqrt(1.0 - np.clip(c, 0.0, 1.0)))
 
 
-def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.ndarray:
+def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray, *,
+                        U: np.ndarray | None = None) -> float | np.ndarray:
     """Concurrence of the (time-evolved) thermal state.
 
     Closed form 2 max(0, (|sinh(beta Omega_n)| - 1) / Z) with
     Z = 2 cosh(2 beta (Omega0+omega0R)) + 2 cosh(beta Omega_n), checked
-    against the Wootters pipeline on the state evolved to every t.  The
+    against the Wootters pipeline on the state evolved to every t by the
+    propagator U on t (built here unless given).  The
     thermal state is stationary, so the result is t-independent; t only
     exercises that.
     """
     Z = 2 * math.cosh(2 * p.beta * p.zeeman) + 2 * math.cosh(p.beta * p.Omega_n)
     closed = np.full(np.shape(t), 2.0 * max(0.0, (abs(math.sinh(p.beta * p.Omega_n)) - 1.0) / Z))
 
-    U = expm_hermitian(h_total(p), t)
+    U = _propagator(p, t, U)
     _cross_check("thermal concurrence", "Wootters", t, closed,
                  concurrence(U @ thermal_density(p) @ _dagger(U)))
     return closed[()]
@@ -289,6 +319,8 @@ def classical_limit_report(p: QuantumChannelParams, t_max: float,
     rows = []
     for n in n_grid:
         pn = QuantumChannelParams(omega0=p.omega0, omega=p.omega, g=p.g, n=n, beta=p.beta)
-        rows.append(ClassicalLimitRow(n=n, otoc_amplitude=float(otoc_numeric(pn, ts).max()),
-                                      thermal_otoc_amplitude=float(thermal_otoc(pn, ts).max())))
+        U = expm_hermitian(h_total(pn), ts)
+        rows.append(ClassicalLimitRow(
+            n=n, otoc_amplitude=float(otoc_numeric(pn, ts, U=U).max()),
+            thermal_otoc_amplitude=float(thermal_otoc(pn, ts, U=U).max())))
     return rows

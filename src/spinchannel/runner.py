@@ -70,10 +70,12 @@ def _run_quantum(cfg: ScenarioConfig) -> tuple[dict[str, np.ndarray], dict]:
     parts = []
     for n in cfg.n_values:
         p = cfg.quantum_params(n)
+        # one propagator per photon number: every column and cross-check uses it
         U = expm_hermitian(qc.h_total(p), ts)
         c = qc.concurrence(U @ rho0 @ _dagger(U))
-        parts.append((ts, np.full(ts.size, n), qc.otoc_numeric(p, ts, psi0),
-                      qc.thermal_otoc(p, ts), qc.thermal_concurrence(p, ts), c, qc.gme(c)))
+        parts.append((ts, np.full(ts.size, n), qc.otoc_numeric(p, ts, psi0, U=U),
+                      qc.thermal_otoc(p, ts, U=U), qc.thermal_concurrence(p, ts, U=U),
+                      c, qc.gme(c)))
     table = {name: np.concatenate(col) for name, col in zip(QUANTUM_CSV_HEADER, zip(*parts))}
     diagnostics = {"n_values": list(cfg.n_values), "samples_per_n": int(ts.size)}
     return table, diagnostics

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinchannel.cli import main
 from spinchannel.config import (ConfigError, ScenarioConfig, parse_config,
@@ -140,6 +142,52 @@ class TestParseConfig:
             parse_config(text)
 
 
+_NUMBER = st.floats(-50.0, 50.0)
+_POSITIVE = st.floats(1e-3, 50.0)
+_SHARED_FIELDS = {"x1": _NUMBER, "v1": _NUMBER, "x2": _NUMBER, "v2": _NUMBER,
+                  "t_end": st.floats(0.0, 1e3), "dt_out": _POSITIVE,
+                  "tol": st.floats(1e-12, 1e-4), "out_format": st.sampled_from(["csv", "json"])}
+_HYBRID_FIELDS = {"spin_omega0": _POSITIVE, "spin_g": _NUMBER, "alpha": _NUMBER,
+                  "omega1": _POSITIVE, "omega2": _POSITIVE, "xi": _NUMBER, "Omega": _NUMBER}
+_QUANTUM_FIELDS = {"q_omega0": _NUMBER, "q_omega": _NUMBER, "q_g": _NUMBER,
+                   "n_values": st.lists(st.floats(0.0, 1e4), min_size=1, max_size=5).map(tuple),
+                   "beta": st.floats(0.0, 10.0)}
+
+
+@st.composite
+def valid_configs(draw):
+    """A preset or a custom base with overrides of numeric, list and state
+    fields, as a config file can write them: an override sets a field."""
+    name = draw(st.sampled_from([*preset_names(), "custom"]))
+    if name == "custom":
+        base = ScenarioConfig(kind=draw(st.sampled_from(["hybrid", "quantum"])))
+    else:
+        base = preset_config(name)
+    fields = dict(_SHARED_FIELDS)
+    fields.update(_HYBRID_FIELDS if base.kind == "hybrid" else _QUANTUM_FIELDS)
+    overrides = draw(st.fixed_dictionaries({}, optional=fields))
+    if base.kind == "hybrid":
+        # a regime needs F and gamma both zero or both nonzero
+        if draw(st.booleans()):
+            overrides.update(F=draw(_POSITIVE), gamma=draw(_POSITIVE))
+        else:
+            overrides.update(F=0.0, gamma=0.0)
+        if base.K is not None or draw(st.booleans()):
+            overrides["K"] = draw(_POSITIVE)
+        else:
+            overrides["D"] = draw(_POSITIVE)
+    elif base.temperature is not None or draw(st.booleans()):
+        overrides["temperature"] = draw(_POSITIVE)
+    overrides["state"] = draw(st.sampled_from(["00", "01", "10", "11", "phi_minus", "custom"]))
+    if overrides["state"] == "custom" or draw(st.booleans()):
+        overrides["amplitudes"] = tuple(draw(st.lists(_NUMBER, min_size=8, max_size=8)))
+    cfg = short(base, **overrides)
+    try:
+        return cfg.validate()
+    except ConfigError:
+        assume(False)
+
+
 class TestRenderRoundTrip:
     @pytest.mark.parametrize("name", sorted(CAPTION_TABLE))
     def test_text_round_trip(self, name):
@@ -148,6 +196,11 @@ class TestRenderRoundTrip:
 
     def test_round_trip_with_overrides(self):
         cfg = short(preset_config("fig2"), t_end=3.0, tol=1e-8)
+        assert parse_config(render_config(cfg)) == cfg
+
+    @given(valid_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_of_generated_configs(self, cfg):
         assert parse_config(render_config(cfg)) == cfg
 
 
@@ -207,8 +260,9 @@ class TestRunScenario:
                             counting("density", quantum_channel.thermal_density))
         res = run_scenario(short(preset_config("fig8"), t_end=20.0))
         assert res.diagnostics["samples_per_n"] > 50
-        # the runner's own column, otoc_numeric, thermal_otoc, thermal_concurrence
-        assert calls == {"expm": 4 * 4, "density": 2 * 4}
+        # one U per photon number, shared by the runner's concurrence column,
+        # otoc_numeric, thermal_otoc and thermal_concurrence
+        assert calls == {"expm": 4, "density": 2 * 4}
 
     def test_fig8_preset_yields_four_series(self):
         cfg = short(preset_config("fig8"), t_end=1.0, dt_out=0.5)
@@ -426,6 +480,20 @@ class TestCli:
         assert "norm drift" in err["message"]
         assert 0.0 < err["t"] < 2000.0
         assert 0.0 < err["h"] < 2000.0
+        assert 0.0 < err["err_norm"] <= 1.0  # raised after an accepted step
+        assert not list(tmp_path.iterdir())
+
+    def test_step_size_underflow_names_its_locus(self, tmp_path, capsys):
+        # x1 = 1e100 makes the first step size fall below the floor at once
+        code = main(["run", "--scenario", "fig3", "--set", "x1=1e100", "--t-end", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "integration"
+        assert "StepSizeUnderflowError" in err["message"]
+        assert err["t"] == 0.0
+        assert 0.0 < err["h"] < 1e-14
+        assert "err_norm" in err and err["err_norm"] is None  # no trial step was made
         assert not list(tmp_path.iterdir())
 
     def test_integration_error_names_the_exception_class(self, tmp_path, capsys):
@@ -436,7 +504,7 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["category"] == "integration"
         assert "OverflowError" in err["message"]
-        assert err["t"] == 0.0 and err["h"] is None
+        assert err["t"] == 0.0 and err["h"] is None and err["err_norm"] is None
 
     @pytest.mark.parametrize("key", ["omega_R", "delta", "spin.omega_R", "spin.delta"])
     def test_rabi_keys_are_not_config_fields(self, key, tmp_path, capsys):

@@ -84,6 +84,15 @@ class TestControl:
         with pytest.raises(StepSizeUnderflowError) as err:
             drive(s)
         assert 0.99 < err.value.t <= 1.01
+        # the step that fell below the floor, and the norm of the trial before it
+        assert 0.0 < err.value.h < 1e-14 * max(1.0, err.value.t)
+        assert math.isfinite(err.value.err_norm) and err.value.err_norm == s.err_norm
+
+    def test_error_norm_of_the_last_trial(self):
+        s = DormandPrince45(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, tol=1e-9)
+        assert s.err_norm is None
+        assert s.step()
+        assert 0.0 <= s.err_norm <= 1.0
 
     @pytest.mark.parametrize("y0", [math.nan, math.inf])
     def test_non_finite_state_raises(self, y0):

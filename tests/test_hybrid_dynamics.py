@@ -404,6 +404,7 @@ class TestIntegrate:
         # raised by the step guard after an accepted step, inside the run
         assert 0.0 < info.value.t < 100.0
         assert 0.0 < info.value.h < 100.0
+        assert 0.0 < info.value.err_norm <= 1.0  # the last trial was accepted
 
     def test_initial_psi_must_be_normalized(self):
         bad = initial(psi=2.0 * PSI01)
@@ -671,11 +672,13 @@ class TestPropagateNoFeedback:
         with pytest.raises(IntegrationError, match="integration failed at t = ") as info:
             propagate_nofeedback(traj, SP, PSI01, t_end=5.0, tol=1e-9)
         # the locus is the step that met the NaN
-        t, h = info.value.t, info.value.h
+        t, h, err_norm = info.value.t, info.value.h, info.value.err_norm
         if t_bad == 0.0:
-            assert t == 0.0 and math.isnan(h)
+            # the first step size is already NaN, so no trial step was made
+            assert t == 0.0 and math.isnan(h) and err_norm is None
         else:
             assert t < t_bad <= t + h
+            assert math.isnan(err_norm)
 
     def test_trajectory_failing_at_start_raises_integration_error(self):
         # the stepper evaluates the rhs while it is built, before the first step
@@ -687,4 +690,4 @@ class TestPropagateNoFeedback:
         with pytest.raises(IntegrationError,
                            match=r"failed at t = 0\.0: ValueError: no trajectory") as info:
             propagate_nofeedback(traj, SP, PSI01, t_end=5.0, tol=1e-9)
-        assert info.value.t == 0.0 and info.value.h is None
+        assert info.value.t == 0.0 and info.value.h is None and info.value.err_norm is None

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchannel import correlators, quantum_channel
+from spinchannel.config import preset_config
 from spinchannel.quantum_channel import (ClassicalLimitRow, QuantumChannelParams,
                                          classical_limit_report, concurrence,
                                          eigensystem, gme, h_total, otoc_analytic,
@@ -252,6 +253,44 @@ class TestConcurrence:
             concurrence(np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))
 
 
+class TestSpinFlipReference:
+    """The spin flip as a signed column reversal against the dense products
+    rho YY rho* YY, grouped left to right, and the concurrence built on each."""
+
+    YY = np.kron(pauli("y"), pauli("y"))
+
+    def reference_concurrence(self, rho):
+        R = rho @ self.YY @ rho.conj() @ self.YY
+        evals = np.linalg.eigvals(R).real
+        roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
+        c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+        return R, np.where(c > 0.0, c, 0.0)[()]
+
+    def assert_matches(self, rhos):
+        R, c = self.reference_concurrence(rhos)
+        assert np.array_equal(quantum_channel._spin_flip(rhos), R)
+        assert np.array_equal(concurrence(rhos), c)
+
+    def test_random_densities(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
+        rhos = a @ a.conj().swapaxes(-1, -2)
+        rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+        rhos = 0.5 * (rhos + rhos.conj().swapaxes(-1, -2))  # exactly Hermitian
+        self.assert_matches(rhos)
+        self.assert_matches(rhos[0])
+
+    @pytest.mark.parametrize("n", [3.7, 10.0, 100.0, 1000.0, 1e4])
+    def test_fig8_grids(self, n):
+        cfg = preset_config("fig8")  # the runner's grid: 477 times over [0, 100]
+        ts = np.linspace(0.0, cfg.t_end, round(cfg.t_end / cfg.resolved_dt_out()) + 1)
+        p = cfg.quantum_params(n)
+        U = expm_hermitian(h_total(p), ts)
+        bell = bell_phi_minus()
+        for rho in (np.outer(bell, bell.conj()), thermal_density(p)):
+            self.assert_matches(U @ rho @ U.conj().swapaxes(-1, -2))
+
+
 class TestGme:
     def test_reference_points(self):
         assert gme(1.0) == pytest.approx(0.5)
@@ -316,6 +355,19 @@ class TestClassicalLimitReport:
         assert rows[0].otoc_amplitude > rows[1].otoc_amplitude > rows[2].otoc_amplitude
         assert rows[-1].otoc_amplitude < 1e-4
 
+    def test_one_propagator_per_photon_number(self, monkeypatch):
+        calls = []
+        exact = quantum_channel.expm_hermitian
+
+        def counting(h, t):
+            calls.append(np.shape(t))
+            return exact(h, t)
+
+        monkeypatch.setattr(quantum_channel, "expm_hermitian", counting)
+        classical_limit_report(params(beta=0.01), t_max=1.0, n_grid=[1.0, 10.0, 100.0],
+                               samples=64)
+        assert calls == [(64,)] * 3
+
     def test_full_oscillation_reached_at_small_n(self):
         p = params(beta=0.01)
         t_max = math.pi / (2 * p.Omega_n)  # beyond the first peak of the numeric form
@@ -342,12 +394,15 @@ class TestTimeGrid:
         ts = np.array(times)
         psi0 = np.array(amplitudes[0::2]) + 1j * np.array(amplitudes[1::2])
         psi0 /= np.linalg.norm(psi0)
+        U = expm_hermitian(h_total(p), ts)
         for evaluator in (otoc_numeric, thermal_otoc, thermal_concurrence):
             grid = evaluator(p, ts)
             assert grid.shape == ts.shape
             assert np.array_equal(grid, [evaluator(p, t) for t in ts]), evaluator.__name__
+            # a shared propagator selects no behaviour: the same bytes as building it
+            assert np.array_equal(evaluator(p, ts, U=U), grid), evaluator.__name__
         assert np.array_equal(otoc_numeric(p, ts, psi0), [otoc_numeric(p, t, psi0) for t in ts])
-        U = expm_hermitian(h_total(p), ts)
+        assert np.array_equal(otoc_numeric(p, ts, psi0, U=U), otoc_numeric(p, ts, psi0))
         assert U.shape == (ts.size, 4, 4)
         assert all(np.array_equal(U[k], expm_hermitian(h_total(p), t)) for k, t in enumerate(ts))
         rhos = U @ np.outer(psi0, psi0.conj()) @ U.conj().swapaxes(-1, -2)
@@ -388,12 +443,25 @@ class TestBatchedCrossChecks:
             U[-1] = kick @ U[-1]
             return U
 
+        # the propagator passed in, then the one the evaluator builds
+        with pytest.raises(RuntimeError, match="cross-check failed") as passed:
+            evaluator(p, self.TS, U=corrupted(h_total(p), self.TS))
         monkeypatch.setattr(quantum_channel, "expm_hermitian", corrupted)
-        with pytest.raises(RuntimeError, match="cross-check failed") as info:
+        with pytest.raises(RuntimeError, match="cross-check failed") as built:
             evaluator(p, self.TS)
-        message = str(info.value)
+        assert str(passed.value) == str(built.value)
+        message = str(built.value)
         assert f"at t = {float(self.TS[-1])!r}:" in message
         assert len(message) < 200  # values, never the whole grid
+
+    @pytest.mark.parametrize("evaluator", [otoc_numeric, thermal_otoc, thermal_concurrence])
+    def test_propagator_must_match_the_grid(self, evaluator):
+        p = params(n=3.0, beta=0.5)
+        U = expm_hermitian(h_total(p), self.TS[:50])
+        with pytest.raises(ValueError, match="does not match t"):
+            evaluator(p, self.TS[:49], U=U)
+        with pytest.raises(ValueError, match="does not match t"):
+            evaluator(p, 0.5, U=U)
 
     def test_non_unitary_slice_rejected(self):
         U = expm_hermitian(h_total(params(n=3.0)), self.TS[:50])
