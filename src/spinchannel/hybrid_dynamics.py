@@ -334,11 +334,19 @@ def separability_defect(U: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def _polar_projection(U: np.ndarray, E: np.ndarray) -> np.ndarray:
+def _max_abs(E: np.ndarray) -> float:
+    """max |E| over every entry: ``np.abs(E).max()`` without the Python
+    wrapper of ``ndarray.max``."""
+    return np.maximum.reduce(np.abs(E), axis=None)
+
+
+def _polar_projection(U: np.ndarray, E: np.ndarray, defect: float | None = None
+                      ) -> np.ndarray:
     """Nearest unitary matrix (polar factor) of a near-unitary U, or of each
     member of a (..., 4, 4) stack, by the Newton-Schulz iteration
     U <- U (I - E/2) with E = U^dagger U - I, which the caller has already
-    formed to measure the defect (Higham 1986).
+    formed to measure the defect (Higham 1986).  A caller that has measured
+    that defect, max |E|, passes it as ``defect``.
 
     The unitarity defect is measured after every iteration and squares on
     each, so one iteration reaches rounding level from the defects an
@@ -347,14 +355,15 @@ def _polar_projection(U: np.ndarray, E: np.ndarray) -> np.ndarray:
     or more, or one still above RENORM_THRESHOLD after _POLAR_ITERATIONS,
     raises FloatingPointError rather than returning some other unitary.
     """
-    defect = np.abs(E).max()
+    if defect is None:
+        defect = _max_abs(E)
     if not defect < 0.25:
         raise FloatingPointError(f"propagator too far from unitary to project "
                                  f"(unitarity defect {defect:.3e})")
     for _ in range(_POLAR_ITERATIONS):
         U = U - 0.5 * (U @ E)
         E = _dagger(U) @ U - _I4
-        defect = np.abs(E).max()
+        defect = _max_abs(E)
         if defect <= _POLAR_ROUNDING:
             return U
     if defect > RENORM_THRESHOLD:
@@ -393,6 +402,13 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
     One stacked (160, 32) matrix B holds the three maps of ``_spin_maps``
     and Q_1, Q_2, so an evaluation is one B @ u, one (2, 32) @ u and one
     linear combination of the three maps' images.
+
+    Hot-path rule: the closure owns the 160-real intermediate z = B u and
+    its two views, and each call overwrites them (``B.dot(u, out=z)``, the
+    same BLAS product as the allocating ``B.dot(u)``).  The derivative it
+    returns is a fresh array on every call, because the stepper keeps
+    earlier results (its FSAL derivative, its stages) alive.  The buffer
+    belongs to this one closure, so each run has its own.
     """
     g = sp.g
     S1, S2, _ = _coupling_operators(sp)
@@ -401,11 +417,14 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
 
     force = _force(op, g)
     coeffs = np.ones(3)   # [1, g x1, g x2], refilled by each call
+    z = np.empty(160)     # B u, overwritten by each call
+    images = z[:96].reshape(3, 32)   # the three maps' images of u
+    quad = z[96:].reshape(2, 32)     # Q_1 u, Q_2 u
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         u = y[4:]
-        z = B.dot(u).reshape(5, 32)
-        f1, f2 = z[3:].dot(u).tolist()
+        B.dot(u, out=z)
+        f1, f2 = quad.dot(u).tolist()
         x1, v1, x2, v2 = y[:4].tolist()
         out = np.empty(36)
         out[0] = v1
@@ -413,7 +432,7 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
         out[1], out[3] = force(t, x1, v1, x2, v2, f1, f2)
         coeffs[1] = g * x1
         coeffs[2] = g * x2
-        np.dot(coeffs, z[:3], out=out[4:])
+        coeffs.dot(images, out=out[4:])
         return out
 
     return rhs
@@ -456,7 +475,7 @@ def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
     # |psi|^2 = phi0^dagger G phi0
     drift = abs(math.sqrt(np.vdot(phi0, G.dot(phi0)).real) - 1.0)
     E = G - _I4
-    udef = float(np.abs(E).max())
+    udef = float(_max_abs(E))
     if drift > diag.max_step_norm_drift:
         diag.max_step_norm_drift = drift
     if udef > diag.max_step_unitarity_defect:
@@ -470,7 +489,7 @@ def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
     if drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
         return None
     y = y.copy()
-    y[-32:] = _polar_projection(U, E).reshape(-1).view(float)
+    y[-32:] = _polar_projection(U, E, udef).reshape(-1).view(float)
     return y
 
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from spinchannel.config import (ConfigError, ScenarioConfig, parse_config,
 from spinchannel.hybrid_dynamics import IntegrationDiagnostics, TimeSeries
 from spinchannel.runner import (HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER, RunResult, _columns,
                                 run_scenario, sweep, write_output)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # every preset checked field-for-field against the published parameter tables
 CAPTION_TABLE = {
@@ -495,6 +501,39 @@ class TestCli:
         assert 0.0 < err["h"] < 1e-14
         assert "err_norm" in err and err["err_norm"] is None  # no trial step was made
         assert not list(tmp_path.iterdir())
+
+    @staticmethod
+    def run_cli_process(argv, cwd):
+        """The CLI in its own interpreter, with numpy warnings printed as they
+        would be for a user (this suite turns them into exceptions)."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-W", "default", "-m", "spinchannel.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+    def assert_one_json_error_line(self, argv, tmp_path):
+        run = self.run_cli_process(["run", "--scenario", "fig5", *argv, "--t-end", "1",
+                                    "--out", str(tmp_path / "x.csv")], tmp_path)
+        assert run.returncode == 3, run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "integration"
+        assert "FloatingPointError: non-finite first-derivative scale d1 = inf" in err["message"]
+        assert err["t"] == 0.0 and err["h"] is None and err["err_norm"] is None
+        assert not (tmp_path / "x.csv").exists()
+
+    # Each overflows the scaled first derivative of the initial step-size
+    # estimate; it used to print a numpy RuntimeWarning ahead of the JSON
+    # object and fail with "ZeroDivisionError: float division by zero".
+    def test_overflowing_drive_amplitude(self, tmp_path):
+        self.assert_one_json_error_line(["--set", "F=1e300"], tmp_path)
+
+    def test_overflowing_initial_velocity(self, tmp_path):
+        self.assert_one_json_error_line(["--set", "v1=1e300"], tmp_path)
+
+    def test_overflowing_duffing_force(self, tmp_path):
+        self.assert_one_json_error_line(["--set", "x1=1e60", "--set", "xi=1"], tmp_path)
 
     def test_integration_error_names_the_exception_class(self, tmp_path, capsys):
         # x1 = 1e150 overflows the first evaluation of the right-hand side

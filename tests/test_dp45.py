@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from spinchannel import preset_config
 from spinchannel.dp45 import (_A, _B, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA,
                               _SAFETY, DormandPrince45, StepSizeUnderflowError)
+from spinchannel.hybrid_dynamics import _hybrid_rhs
 
 
 def drive(stepper):
@@ -99,6 +101,16 @@ class TestControl:
         # NaN never passes the acceptance test, so an unguarded step() retries forever
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             drive(DormandPrince45(lambda t, y: -y, 0.0, np.array([y0]), 1.0, tol=1e-9))
+
+    @pytest.mark.parametrize("scale, rhs", [
+        ("first-derivative scale d1", lambda t, y: np.array([1e300])),
+        ("second-derivative scale d2", lambda t, y: np.array([1e300 * t + 1.0])),
+    ])
+    def test_overflowing_initial_step_estimate_raises(self, scale, rhs):
+        # a scaled norm that overflows used to leave h0 = 0 and a division by
+        # it; the suite turns any numpy overflow warning into a failure
+        with pytest.raises(FloatingPointError, match=f"non-finite {scale} = inf .* t = 0.0"):
+            DormandPrince45(rhs, 0.0, np.array([0.0]), 1.0, tol=1e-9)
 
     def test_rejections_are_counted(self):
         # drive frequency kick forces at least some rejected trials
@@ -220,3 +232,92 @@ class TestAgainstReference:
         assert len(norms) == len(decisions[1])
         n = next((k for k, e in enumerate(norms) if abs(e - 1.0) < 1e-9), len(norms))
         assert decisions[0][:n] == decisions[1][:n]
+
+
+class AllocatingDP45(DormandPrince45):
+    """The stepper with the allocating stage sums of the straightforward
+    implementation (``y + h * A_i.dot(K[:i])``, ``tol + tol * max(...)``),
+    which the in-place ones must reproduce bit for bit."""
+
+    def step(self):
+        t, y = self.t, self.y
+        if t >= self.t_end:
+            return False
+        K = self._K
+        fun, t_end, tol = self.fun, self.t_end, self.tol
+        abs_y = np.abs(y)
+        K[0] = self.f
+        while True:
+            h = self._h
+            if t + h > t_end:
+                h = t_end - t
+            if not math.isfinite(h):
+                raise FloatingPointError(f"non-finite step size {h!r} at t = {t!r}")
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflowError(t, h, self.err_norm)
+            for i in range(1, 6):
+                K[i] = fun(t + _C[i] * h, y + h * _A[i].dot(K[:i]))
+            y_new = y + h * _B.dot(K[:6])
+            K[6] = fun(t + h, y_new)
+            r = _E.dot(K) / (tol + tol * np.maximum(abs_y, np.abs(y_new)))
+            err_norm = h * math.sqrt(r.dot(r) / r.size)
+            self.err_norm = err_norm
+            if not math.isfinite(err_norm):
+                raise FloatingPointError(f"non-finite error norm at t = {t!r}, step size {h!r}")
+            if err_norm <= 1.0:
+                break
+            self.n_rejected += 1
+            factor = max(_MIN_FACTOR, min(0.9, _SAFETY * err_norm ** -0.2))
+            self._h = h * factor
+        # accept
+        self.t_old, self.y_old = t, y
+        self.t = t + h
+        self.y = y_new
+        self.f = K[6].copy()
+        self._h_last = h
+        self.n_steps += 1
+        if err_norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = _SAFETY * err_norm ** -_PI_ALPHA * self._err_prev ** _PI_BETA
+        self._err_prev = max(err_norm, 1e-4)
+        self._h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        return True
+
+
+def assert_same_steps(ours, ref, max_steps=None):
+    """Step both in lockstep and require equal bits after every step."""
+    n = 0
+    while max_steps is None or n < max_steps:
+        more = ours.step()
+        assert ref.step() == more
+        if not more:
+            break
+        n += 1
+        assert np.array_equal(ours.y, ref.y)
+        assert np.array_equal(ours.f, ref.f)
+        assert ours.t == ref.t and ours.h == ref.h and ours.err_norm == ref.err_norm
+        assert ours.n_rejected == ref.n_rejected
+    return n
+
+
+class TestInPlaceStageSums:
+    """The in-place stage sums of ``step`` give the bits of the allocating
+    formulas: the same states, derivatives, step sizes and rejections."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10])
+    def test_six_oscillators(self, tol):
+        ours = DormandPrince45(six_oscillators, 0.0, SIX_Y0, 3.0, tol=tol)
+        ref = AllocatingDP45(six_oscillators, 0.0, SIX_Y0, 3.0, tol=tol)
+        ours._h = ref._h = 0.5   # far too large: the first trials are rejected
+        assert assert_same_steps(ours, ref) > 10
+        assert ref.n_rejected >= 2 and ref.t == 3.0
+
+    def test_fig2_hybrid_rhs(self):
+        cfg = preset_config("fig2")
+        op, sp, psi0 = cfg.osc_params(), cfg.spin_params(), cfg.initial_spin_state()
+        y0 = np.concatenate(([cfg.x1, cfg.v1, cfg.x2, cfg.v2],
+                             np.eye(4, dtype=complex).reshape(-1).view(float)))
+        ours, ref = (cls(_hybrid_rhs(op, sp, psi0), 0.0, y0, cfg.t_end, tol=cfg.tol)
+                     for cls in (DormandPrince45, AllocatingDP45))
+        assert assert_same_steps(ours, ref, max_steps=300) == 300

@@ -10,8 +10,9 @@ from spinchannel import correlators, hybrid_dynamics, preset_config
 from spinchannel.correlators import otoc_product
 from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState,
                                          IntegrationDiagnostics, IntegrationError,
-                                         OscParams, Regime, RegimeError, _guard_step,
-                                         _hybrid_rhs, _polar_projection,
+                                         OscParams, Regime, RegimeError, _coupling_operators,
+                                         _force, _guard_step, _hybrid_rhs, _polar_projection,
+                                         _real_form, _spin_maps,
                                          build_spin_hamiltonian, classical_energy,
                                          connectivity, derivative, energy_budget, integrate,
                                          propagate_nofeedback, separability_defect,
@@ -22,6 +23,7 @@ from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus, e
 
 SP = SpinParams(omega0=1.5, g=1.0, alpha=math.pi / 3)
 PSI01 = basis_state("01")
+PSI00 = basis_state("00")
 
 
 def initial(psi=None, x1=1.0):
@@ -183,6 +185,62 @@ class TestHybridRhs:
         assert np.abs(dy[4:].view(complex).reshape(4, 4) - d.U).max() <= 1e-13
 
 
+def reference_hybrid_rhs(op, sp, phi0):
+    """The right-hand side with its intermediate B u allocated afresh by
+    every call: the formulas ``_hybrid_rhs`` must reproduce bit for bit."""
+    g = sp.g
+    S1, S2, _ = _coupling_operators(sp)
+    lift = _real_form(np.kron(hybrid_dynamics._I4, phi0[None, :]))
+    B = np.vstack([_spin_maps(sp)] + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
+    force = _force(op, g)
+    coeffs = np.ones(3)
+
+    def rhs(t, y):
+        u = y[4:]
+        z = B.dot(u).reshape(5, 32)
+        f1, f2 = z[3:].dot(u).tolist()
+        x1, v1, x2, v2 = y[:4].tolist()
+        out = np.empty(36)
+        out[0] = v1
+        out[2] = v2
+        out[1], out[3] = force(t, x1, v1, x2, v2, f1, f2)
+        coeffs[1] = g * x1
+        coeffs[2] = g * x2
+        np.dot(coeffs, z[:3], out=out[4:])
+        return out
+
+    return rhs
+
+
+class TestHybridRhsBuffer:
+    """The right-hand side reuses one intermediate per closure, with the bits
+    of the allocating form, and never hands out that buffer."""
+
+    OP = OscParams(omega1=1.0, omega2=1.5, D=0.4, xi=0.7, gamma=0.15, F=0.5, Omega=1.1)
+
+    def test_matches_allocating_reference(self):
+        rng = np.random.default_rng(11)
+        phi0 = random_unitary(rng.normal(size=32))[:, 0]
+        rhs, ref = _hybrid_rhs(self.OP, SP, phi0), reference_hybrid_rhs(self.OP, SP, phi0)
+        for _ in range(200):
+            U = near_unitary(rng, 10.0 ** rng.uniform(-14, -6))
+            y = np.concatenate((rng.normal(size=4), U.reshape(-1).view(float)))
+            t = rng.uniform(0.0, 100.0)
+            assert np.array_equal(rhs(t, y), ref(t, y))
+
+    def test_results_are_not_aliased(self):
+        rng = np.random.default_rng(12)
+        rhs = _hybrid_rhs(self.OP, SP, PSI01)
+        ys = [np.concatenate((rng.normal(size=4), random_unitary(rng.normal(size=32))
+                              .reshape(-1).view(float))) for _ in range(3)]
+        kept = rhs(0.5, ys[0])
+        snapshot = kept.copy()
+        later = [rhs(1.0, y) for y in ys[1:]]
+        assert np.array_equal(kept, snapshot)
+        assert not any(np.shares_memory(kept, r) for r in later)
+        assert not np.shares_memory(later[0], later[1])
+
+
 def near_unitary(rng, defect):
     """A random unitary times I + e H, with H Hermitian of unit max entry, so
     that max|U^dagger U - I| is about 2 e = defect."""
@@ -298,6 +356,31 @@ class TestGuardStep:
         assert diag.max_step_norm_drift == max(first.max_step_norm_drift,
                                                second.max_step_norm_drift)
         assert diag.cum_norm_drift == first.cum_norm_drift + second.cum_norm_drift
+
+    @pytest.mark.parametrize("log_defect", [-11.0, -9.0, -6.0])
+    def test_projection_equals_one_applied_by_hand(self, log_defect):
+        # the guard hands its measured defect to the projection; the result
+        # must be the bytes of a projection that measures it itself
+        rng = np.random.default_rng(int(-log_defect))
+        for _ in range(20):
+            U = near_unitary(rng, 10.0 ** log_defect)
+            phi0 = random_unitary(rng.normal(size=32))[:, 0]
+            y = np.concatenate((rng.normal(size=4), U.reshape(-1).view(float)))
+            diag = IntegrationDiagnostics()
+            y_corr = _guard_step(y, phi0, diag, 1e-9)
+            E = gram(U) - np.eye(4)
+            assert diag.max_step_unitarity_defect == np.abs(E).max()
+            assert np.array_equal(y_corr[:4], y[:4])
+            assert np.array_equal(y_corr[4:], _polar_projection(U, E).reshape(-1).view(float))
+
+    @pytest.mark.parametrize("s", [1.12, 2.0, math.nan])
+    def test_defect_of_a_quarter_or_more_raises(self, s):
+        # psi = U e0 keeps its norm, so the drift limit does not trip first;
+        # U^dagger U - I has the entry s^2 - 1 >= 1/4 (or NaN)
+        U = np.diag([1.0, s, 1.0, 1.0]).astype(complex)
+        y = np.concatenate((np.zeros(4), U.reshape(-1).view(float)))
+        with pytest.raises(FloatingPointError, match="too far from unitary"):
+            _guard_step(y, PSI00, IntegrationDiagnostics(), 1e-9)
 
 
 def unitary_from_angles(a, b, c):
