@@ -130,13 +130,19 @@ def _cmd_sweep(args) -> int:
     if not values:
         print("empty value list; nothing to do")
         return EXIT_OK
-    results = sweep(cfg, args.param, values)
     base = cfg.out_path or cfg.name
     if base.endswith(".csv") or base.endswith(".json"):
         base = base.rsplit(".", 1)[0]
     param_slug = args.param.replace(".", "_")
-    for value, result in zip(values, results):
-        path = f"{base}_{param_slug}_{value:g}.{cfg.out_format}"
+    paths = [f"{base}_{param_slug}_{value:g}.{cfg.out_format}" for value in values]
+    first = {}
+    for value, path in zip(values, paths):
+        other = first.setdefault(path, value)
+        if other != value:
+            raise ConfigError(f"sweep values {other!r} and {value!r} would both be written "
+                              f"to {path}")
+    results = sweep(cfg, args.param, values)
+    for path, result in zip(paths, results):
         try:
             write_output(result, cfg.out_format, path)
         except OSError as exc:

@@ -563,6 +563,31 @@ class TestCli:
         assert (tmp_path / "base_K_0.1.csv").exists()
         assert (tmp_path / "base_K_10.csv").exists()
 
+    def test_sweep_rejects_values_that_name_one_file(self, tmp_path, capsys):
+        # '{value:g}' keeps 6 significant digits: both values would write
+        # base_K_0.1.csv, and the second run used to overwrite the first
+        code = main(["sweep", "--scenario", "fig2", "--param", "K",
+                     "--values", "0.1000001,0.1000002", "--t-end", "1",
+                     "--out", str(tmp_path / "base.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config"
+        assert err["message"] == (f"sweep values 0.1000001 and 0.1000002 would both be "
+                                  f"written to {tmp_path / 'base_K_0.1.csv'}")
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_repeated_value_keeps_its_name(self, tmp_path, capsys):
+        code = main(["sweep", "--scenario", "fig2", "--param", "K",
+                     "--values", "0.1000001,0.1000001,0.1000011", "--t-end", "1",
+                     "--out", str(tmp_path / "base.csv")])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base_K_0.1.csv",
+                                                              "base_K_0.100001.csv"]
+
     def test_unknown_set_key(self, capsys):
         code = main(["run", "--scenario", "fig2", "--set", "oscillators.mass=2"])
         assert code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -251,6 +252,100 @@ class TestConcurrence:
     def test_rejects_invalid_density(self):
         with pytest.raises(ValueError):
             concurrence(np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))
+
+
+class TestDistinctMembers:
+    """concurrence evaluates each bitwise-distinct member of a stack once and
+    gives the same bytes, and the same errors, as evaluating every member."""
+
+    @staticmethod
+    def fig8_stacks(n):
+        """The Bell and thermal stacks of the quantum_thermal workload at n."""
+        cfg = dataclasses.replace(preset_config("fig8"), t_end=400.0, dt_out=0.21)
+        ts = np.linspace(0.0, cfg.t_end, round(cfg.t_end / cfg.resolved_dt_out()) + 1)
+        p = cfg.quantum_params(n)
+        U = expm_hermitian(h_total(p), ts)
+        bell = bell_phi_minus()
+        return [U @ rho @ U.conj().swapaxes(-1, -2)
+                for rho in (np.outer(bell, bell.conj()), thermal_density(p))]
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the stack handed to the private evaluator on each call."""
+        seen = []
+        evaluate = quantum_channel._wootters
+
+        def recording(rho):
+            seen.append(rho)
+            return evaluate(rho)
+
+        monkeypatch.setattr(quantum_channel, "_wootters", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", preset_config("fig8").n_values)
+    def test_fig8_stacks_equal_per_member(self, n):
+        for stack in self.fig8_stacks(n):
+            assert stack.shape == (1906, 4, 4)
+            assert np.array_equal(concurrence(stack), [concurrence(m) for m in stack])
+
+    def test_signed_zero_members_stay_distinct(self, monkeypatch):
+        bell = bell_phi_minus()
+        plus = np.outer(bell, bell.conj())
+        assert plus[0, 0] == 0.0 and not np.signbit(plus[0, 0].real)
+        minus = plus.copy()
+        minus[0, 0] = complex(-0.0, 0.0)
+        stack = np.stack([plus, minus, plus, minus, minus])
+        seen = self.spy(monkeypatch)
+        c = concurrence(stack)
+        assert [m.tobytes() for m in seen[0]] == [plus.tobytes(), minus.tobytes()]
+        assert np.array_equal(c, [concurrence(m) for m in stack])
+
+    def test_nested_stack(self):
+        bell_stack = self.fig8_stacks(10.0)[0][:600]
+        stack = bell_stack.reshape(2, 300, 4, 4)
+        c = concurrence(stack)
+        assert c.shape == (2, 300)
+        assert np.array_equal(c, np.reshape([concurrence(m) for m in bell_stack], (2, 300)))
+
+    @pytest.mark.parametrize("first, second", [(1.5, 0.5), (0.5, 1.5)])
+    def test_repeated_bad_trace_names_the_first_worst_member(self, first, second):
+        # |tr - 1| is 0.5 for both: the first in stack order is named
+        a, b = (np.eye(4, dtype=complex) * (tr / 4) for tr in (first, second))
+        good = np.eye(4, dtype=complex) / 4
+        with pytest.raises(ValueError) as err:
+            concurrence(np.stack([good, a, b, good, a, b, b]))
+        assert str(err.value) == f"density matrix trace is {complex(first)!r}, expected 1"
+
+    def test_repeated_negative_eigenvalue_message(self):
+        bad = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)
+        good = np.eye(4, dtype=complex) / 4
+        with pytest.raises(ValueError) as err:
+            concurrence(np.stack([good, bad, good, bad, bad]))
+        assert str(err.value) == "density matrix has a negative eigenvalue (-5.000e-01)"
+
+    def test_bell_stack_is_evaluated_on_its_distinct_members(self, monkeypatch):
+        bell_stack = self.fig8_stacks(10.0)[0]
+        seen = self.spy(monkeypatch)
+        concurrence(bell_stack)
+        assert len(seen) == 1
+        distinct = list(dict.fromkeys(m.tobytes() for m in bell_stack))
+        assert [m.tobytes() for m in seen[0]] == distinct
+        assert 2 * len(distinct) < len(bell_stack)
+
+    def test_one_evaluation_per_call(self, monkeypatch):
+        bell_stack, thermal_stack = self.fig8_stacks(100.0)
+        entered = []
+        public = quantum_channel.concurrence
+        monkeypatch.setattr(quantum_channel, "concurrence",
+                            lambda rho: entered.append(1) or public(rho))
+        seen = self.spy(monkeypatch)
+        for rho in (bell_stack, thermal_stack, thermal_stack[7], bell_stack[:3]):
+            quantum_channel.concurrence(rho)
+        # never re-entered through its public name, which a tracer would count
+        assert len(entered) == 4
+        # a stack without repeats is evaluated as given, not copied
+        assert [m.shape for m in seen] == [(403, 4, 4), (1906, 4, 4), (4, 4), (3, 4, 4)]
+        assert seen[1] is thermal_stack
 
 
 class TestSpinFlipReference:
