@@ -141,8 +141,9 @@ def _cmd_sweep(args) -> int:
         if other != value:
             raise ConfigError(f"sweep values {other!r} and {value!r} would both be written "
                               f"to {path}")
-    results = sweep(cfg, args.param, values)
-    for path, result in zip(paths, results):
+    # a repeated value runs and is written once, at its first position
+    results = sweep(cfg, args.param, list(first.values()))
+    for path, result in zip(first, results):
         try:
             write_output(result, cfg.out_format, path)
         except OSError as exc:

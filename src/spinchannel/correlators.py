@@ -3,6 +3,10 @@
 All routines take an accumulated propagator U (the full evolution operator
 from the initial time), the initial state, and a pair of unitary probe
 operators W, V.  Heisenberg picture: W(t) = U^dag W U.
+
+Over a stack U, U^dag W and W(t) V psi0 are one GEMM each (``_rdot``); stack
+times stack, and V^dag and <psi0| acting from the left, stay on ``@`` (as
+row products they round otherwise for a general V and psi0).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_algebra import _dagger
+from .spin_algebra import _dagger, _rdot
 
 __all__ = ["CorrelatorRecord", "otoc_product", "otoc_commutator", "two_point"]
 
@@ -58,9 +62,9 @@ def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray,
     psi0 = _check_state(psi0)
     W = _check_unitary(W, "W")
     V = _check_unitary(V, "V")
-    Wt = _dagger(U) @ W @ U
+    Wt = _rdot(_dagger(U), W) @ U
     # kets are (..., 4, 1) columns so that every operator applies over the stack
-    wt_v_psi = Wt @ (V @ psi0)[:, None]
+    wt_v_psi = _rdot(Wt, (V @ psi0)[:, None])
     F = (psi0.conj() @ (_dagger(Wt) @ (_dagger(V) @ wt_v_psi)))[..., 0][()]
     G2 = (psi0.conj() @ wt_v_psi)[..., 0][()]
     return CorrelatorRecord(t=t, F=F, C=1.0 - F.real, G2=G2)

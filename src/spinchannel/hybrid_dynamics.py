@@ -38,7 +38,7 @@ import numpy as np
 
 from . import correlators
 from .dp45 import DormandPrince45
-from .spin_algebra import SpinParams, _dagger, embed, pauli
+from .spin_algebra import SpinParams, _dagger, _rdot, embed, pauli
 
 __all__ = [
     "OscParams",
@@ -501,7 +501,7 @@ def _fix_samples(U: np.ndarray, phi0: np.ndarray, t: np.ndarray,
     U, replaces in place the members above RENORM_THRESHOLD by their polar
     factor, and returns psi = U phi0 for every member.
     """
-    psi = U @ phi0
+    psi = _rdot(U, phi0)
     drift = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
     E = _dagger(U) @ U - _I4
     udef = np.abs(E).max(axis=(-2, -1))
@@ -515,7 +515,7 @@ def _fix_samples(U: np.ndarray, phi0: np.ndarray, t: np.ndarray,
         except FloatingPointError as exc:
             raise IntegrationError(f"projection of the samples at t = "
                                    f"{t[fix][0]}..{t[fix][-1]} failed: {exc}") from exc
-        psi[fix] = U[fix] @ phi0
+        psi[fix] = _rdot(U[fix], phi0)
     return psi
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlators
-from .spin_algebra import _dagger, basis_state, bell_phi_minus, embed, expm_hermitian, pauli
+from .spin_algebra import _dagger, _rdot, basis_state, bell_phi_minus, embed, expm_hermitian, pauli
 
 __all__ = [
     "QuantumChannelParams",
@@ -202,6 +202,8 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if rho.size == 0:
+        return rho
     herm = np.abs(rho - _dagger(rho)).max()
     if herm > DENSITY_HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian (defect {herm:.3e})")
@@ -279,7 +281,7 @@ def _wootters(rho: np.ndarray) -> np.ndarray:
     """Validate the (..., 4, 4) stack rho and return the Wootters concurrence
     of each of its members."""
     evals = np.linalg.eigvals(_spin_flip(validate_density(rho))).real
-    if evals.min() < EIGENVALUE_CLAMP:
+    if evals.min(initial=0.0) < EIGENVALUE_CLAMP:
         raise ValueError(f"spin-flip spectrum has a negative eigenvalue ({evals.min():.3e})")
     roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
     c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
@@ -318,7 +320,7 @@ def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray, *,
 
     U = _propagator(p, t, U)
     _cross_check("thermal concurrence", "Wootters", t, closed,
-                 concurrence(U @ thermal_density(p) @ _dagger(U)))
+                 concurrence(_rdot(U, thermal_density(p)) @ _dagger(U)))
     return closed[()]
 
 

@@ -15,8 +15,8 @@ from spinchannel.cli import main
 from spinchannel.config import (ConfigError, ScenarioConfig, parse_config,
                                 preset_config, preset_names, render_config)
 from spinchannel.hybrid_dynamics import IntegrationDiagnostics, TimeSeries
-from spinchannel.runner import (HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER, RunResult, _columns,
-                                run_scenario, sweep, write_output)
+from spinchannel.runner import (CSV_BLOCK_ROWS, HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER,
+                                RunResult, _columns, run_scenario, sweep, write_output)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -374,16 +374,26 @@ def _empty_series():
 # subnormals, the extremes, and short and long decimal expansions
 _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                 1e300, -1e300, 1.0, 0.1, 1 / 3, math.nan, math.inf]
+_BLOCK_EDGE_ROWS = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                    2 * CSV_BLOCK_ROWS + 1]
+
+
+def _edge_columns(rows):
+    """Seven columns of ``rows`` cells cycling through the edge values, one
+    column constant so that it takes the writer's per-value path."""
+    cycled = np.resize(np.array(_EDGE_VALUES), rows)
+    return [np.full(rows, -0.0)] + [np.roll(cycled, k) for k in range(6)]
 
 
 @st.composite
 def csv_columns(draw):
     """Seven columns of one length over one drawn pool of values.  Each column
     takes its cells from a prefix of the pool: a short prefix repeats its
-    values, a long one mostly does not."""
+    values, a long one mostly does not.  Lengths are short, or on the edges
+    of the writer's blocks of CSV_BLOCK_ROWS rows."""
     pool = np.array(draw(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()),
                                   min_size=1, max_size=16)), dtype=float)
-    rows = draw(st.integers(0, 16))
+    rows = draw(st.one_of(st.integers(0, 16), st.sampled_from(_BLOCK_EDGE_ROWS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return [pool[rng.integers(0, rng.integers(1, pool.size + 1), rows)]
             for _ in QUANTUM_CSV_HEADER]
@@ -449,6 +459,12 @@ class TestWriteOutput:
 
     @given(csv_columns())
     @example([np.array([0.0, -0.0, 0.0, -0.0])] * 7)
+    @example(_edge_columns(_BLOCK_EDGE_ROWS[0]))
+    @example(_edge_columns(_BLOCK_EDGE_ROWS[1]))
+    @example(_edge_columns(_BLOCK_EDGE_ROWS[2]))
+    @example(_edge_columns(_BLOCK_EDGE_ROWS[3]))
+    @example(_edge_columns(_BLOCK_EDGE_ROWS[4]))
+    @example(_edge_columns(_BLOCK_EDGE_ROWS[5]))
     @settings(max_examples=200, deadline=None)
     def test_csv_equals_per_cell_formatting(self, tmp_path_factory, columns):
         res = RunResult(config=preset_config("fig8"), kind="quantum", series=None,
@@ -587,6 +603,30 @@ class TestCli:
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["base_K_0.1.csv",
                                                               "base_K_0.100001.csv"]
+
+    def test_sweep_runs_and_writes_each_distinct_value_once(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from spinchannel import runner
+        swept = []
+
+        def counting_run(cfg):
+            swept.append(cfg.K)
+            return run_scenario(cfg)
+
+        monkeypatch.setattr(runner, "run_scenario", counting_run)
+        code = main(["sweep", "--scenario", "fig2", "--param", "K",
+                     "--values", "0.1,0.1,10", "--t-end", "1",
+                     "--out", str(tmp_path / "base.csv")])
+        assert code == 0
+        assert swept == [0.1, 10.0]
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == [f"wrote {tmp_path / 'base_K_0.1.csv'}",
+                         f"wrote {tmp_path / 'base_K_10.csv'}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base_K_0.1.csv",
+                                                              "base_K_10.csv"]
+        # the library sweep still gives one result per given value
+        assert len(sweep(short(preset_config("fig2"), t_end=0.5), "K", [0.1, 0.1])) == 2
 
     def test_unknown_set_key(self, capsys):
         code = main(["run", "--scenario", "fig2", "--set", "oscillators.mass=2"])

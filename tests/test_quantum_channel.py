@@ -253,6 +253,13 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             concurrence(np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))
 
+    def test_empty_stack_gives_a_result_of_its_leading_shape(self):
+        empty = np.zeros((0, 4, 4), dtype=complex)
+        assert validate_density(empty).shape == (0, 4, 4)
+        assert concurrence(empty).shape == (0,)
+        assert concurrence(np.zeros((2, 0, 4, 4), dtype=complex)).shape == (2, 0)
+        assert gme(concurrence(empty)).shape == (0,)
+
 
 class TestDistinctMembers:
     """concurrence evaluates each bitwise-distinct member of a stack once and

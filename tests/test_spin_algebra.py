@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus,
-                                      commutator, embed, expectation,
+from spinchannel.spin_algebra import (SpinParams, _dagger, _rdot, basis_state,
+                                      bell_phi_minus, commutator, embed, expectation,
                                       expm_hermitian, pauli, sz_nv)
 
 I2 = np.eye(2, dtype=complex)
@@ -172,6 +172,58 @@ class TestExpmHermitian:
         m = np.arange(16, dtype=complex).reshape(4, 4)
         with pytest.raises(ValueError, match="not Hermitian"):
             expm_hermitian(m, 1.0)
+
+
+# the leading shapes of the stacks the call sites multiply by one operator:
+# a single matrix, one member, an empty stack, a (k, T) sweep and a stack
+# long enough that one product of its rows is split over OpenBLAS threads
+_RDOT_LEADING = [(), (1,), (0,), (2, 300), (20001,)]
+
+
+@st.composite
+def rdot_operands(draw):
+    """A (..., 4, 4) stack and one operand: a (4, 4) matrix, its conjugate
+    transpose (a strided view), a (4, 1) column or a (4,) vector.  Every real
+    and imaginary part comes from one drawn pool that holds 0.0 and -0.0.
+    Times a matrix, the stack may be the conjugate transpose of a stack, as
+    U^dagger is (times a vector, see test_strided_stack_times_vector)."""
+    pool = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+                                            st.floats(-1e100, 1e100)),
+                                  min_size=1, max_size=12)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def fill(shape):
+        return pool[rng.integers(0, pool.size, shape + (2,))].view(complex)[..., 0]
+
+    a = fill(draw(st.sampled_from(_RDOT_LEADING)) + (4, 4))
+    m = draw(st.sampled_from([lambda: fill((4, 4)), lambda: _dagger(fill((4, 4))),
+                              lambda: fill((4, 1)), lambda: fill((4,))]))()
+    if m.ndim == 2 and m.shape[1] == 4 and draw(st.booleans()):
+        a = _dagger(a)
+    return a, m
+
+
+class TestRdot:
+    @given(rdot_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes_as_matmul(self, operands):
+        a, m = operands
+        expected = a @ m
+        got = _rdot(a, m)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(float), expected.view(float))
+
+    def test_strided_stack_times_vector(self):
+        # the product of the C-order copy: @ would take a transposed kernel
+        rng = np.random.default_rng(5)
+        a = _dagger(rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4)))
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        assert np.array_equal(_rdot(a, v).view(float), (np.ascontiguousarray(a) @ v).view(float))
+        assert np.allclose(_rdot(a, v), a @ v, rtol=1e-14, atol=1e-14)
+
+    def test_empty_stack(self):
+        assert _rdot(np.zeros((0, 4, 4), dtype=complex), np.eye(4)).shape == (0, 4, 4)
+        assert _rdot(np.zeros((3, 0, 4), dtype=complex), np.ones(4)).shape == (3, 0)
 
 
 class TestSpinParams:
