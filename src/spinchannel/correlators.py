@@ -6,7 +6,9 @@ operators W, V.  Heisenberg picture: W(t) = U^dag W U.
 
 Over a stack U, U^dag W and W(t) V psi0 are one GEMM each (``_rdot``); stack
 times stack, and V^dag and <psi0| acting from the left, stay on ``@`` (as
-row products they round otherwise for a general V and psi0).
+row products they round otherwise for a general V and psi0).  U^dag is
+conjugated into C order for ``_rdot``; W(t)^dag and V^dag, which multiply
+columns, stay strided views, as a GEMV rounds differently for another layout.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class CorrelatorRecord:
 
 def _check_unitary(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max()
+    defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max(initial=0.0)
     if defect > UNITARITY_TOL:
         raise ValueError(f"{name} is not unitary (defect {defect:.3e} > {UNITARITY_TOL:.1e})")
     return m
@@ -62,7 +64,8 @@ def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray,
     psi0 = _check_state(psi0)
     W = _check_unitary(W, "W")
     V = _check_unitary(V, "V")
-    Wt = _rdot(_dagger(U), W) @ U
+    # U^dagger conjugated into C order, for _rdot to flatten without a copy
+    Wt = _rdot(np.conj(U.swapaxes(-1, -2), order="C"), W) @ U
     # kets are (..., 4, 1) columns so that every operator applies over the stack
     wt_v_psi = _rdot(Wt, (V @ psi0)[:, None])
     F = (psi0.conj() @ (_dagger(Wt) @ (_dagger(V) @ wt_v_psi)))[..., 0][()]

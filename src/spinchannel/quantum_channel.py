@@ -34,6 +34,7 @@ vanishes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,10 @@ EIGENVALUE_CLAMP = -1e-10
 DENSITY_HERM_TOL = 1e-12    # validate_density: max |rho - rho^dagger|
 DENSITY_TRACE_TOL = 1e-12   # validate_density: max |tr rho - 1|
 DENSITY_PSD_TOL = 1e-10     # validate_density: most negative eigenvalue allowed
+# Largest beta * max|E_i| over the eigenvalues of h_total: each Gibbs weight
+# e^{-beta E_i}, and each cosh in the closed forms, is then at most DBL_MAX/4,
+# so Z = 2 cosh(2 beta zeeman) + 2 cosh(beta Omega_n) stays below DBL_MAX/2
+GIBBS_EXPONENT_LIMIT = math.log(sys.float_info.max / 4)
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,13 @@ class QuantumChannelParams:
             raise ValueError(f"mean photon number must be non-negative, got {self.n}")
         if self.beta < 0:
             raise ValueError(f"inverse temperature must be non-negative, got {self.beta}")
+        widest = max(2 * abs(self.zeeman), abs(self.Omega_n))  # max |E_i|
+        if self.beta * widest > GIBBS_EXPONENT_LIMIT:
+            beta_max = GIBBS_EXPONENT_LIMIT / widest
+            raise ValueError(
+                f"inverse temperature beta = {self.beta!r} (T = {1 / self.beta!r}) is too "
+                f"large at n = {self.n!r}: the Gibbs weights overflow above beta = "
+                f"{beta_max!r} (below T = {1 / beta_max!r})")
 
     @property
     def Omega0(self) -> float:
@@ -198,12 +210,30 @@ def thermal_density(p: QuantumChannelParams) -> np.ndarray:
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of rho or of a (..., 4, 4) stack."""
+    """Check Hermiticity, unit trace and positivity of rho or of a (..., 4, 4) stack.
+
+    Non-finite entries are rejected first, before any arithmetic on them.
+    Positivity is certified per member by Gershgorin's discs (Horn & Johnson,
+    Matrix Analysis, 6.1): every eigenvalue is at least
+    min_i (Re rho_ii - sum_{j != i} |rho_ij|), and a member whose bound is at
+    least -DENSITY_PSD_TOL/2 passes without an eigen-solve.  eigvalsh reads
+    one triangle, whose mirror differs from the other by at most
+    DENSITY_HERM_TOL an entry, which moves the bound by at most three times
+    that, so eigvalsh would also find such a member's smallest eigenvalue
+    above -DENSITY_PSD_TOL.  Only the other members go through eigvalsh,
+    which decides, and names the most negative eigenvalue, exactly as over
+    the whole stack.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     if rho.size == 0:
         return rho
+    finite = np.isfinite(rho)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0, -2:]
+        raise ValueError(f"density matrix has non-finite entries, the first "
+                         f"{complex(rho[~finite][0])!r} at row {i}, column {j}")
     herm = np.abs(rho - _dagger(rho)).max()
     if herm > DENSITY_HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian (defect {herm:.3e})")
@@ -211,9 +241,13 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
     if abs(worst - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -DENSITY_PSD_TOL:
-        raise ValueError(f"density matrix has a negative eigenvalue ({evals.min():.3e})")
+    diag = rho.diagonal(axis1=-2, axis2=-1)
+    bound = (diag.real + np.abs(diag) - np.abs(rho).sum(axis=-1)).min(axis=-1)
+    uncertified = bound < -0.5 * DENSITY_PSD_TOL
+    if uncertified.any():
+        evals = np.linalg.eigvalsh(rho[uncertified])
+        if evals.min() < -DENSITY_PSD_TOL:
+            raise ValueError(f"density matrix has a negative eigenvalue ({evals.min():.3e})")
     return rho
 
 
@@ -245,7 +279,8 @@ def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray, *,
 
     U = _propagator(p, t, U)
     m = ((_dagger(U) * _S1Z_DIAG) @ U) * _S2Z_DIAG  # sigma1_z(t) sigma2_z
-    traced = 1.0 - np.einsum("ij,...ji->...", thermal_density(p), m @ m).real
+    # Tr(rho m m) = Tr(m rho m): one GEMM for m rho, then an elementwise contraction
+    traced = 1.0 - np.einsum("...ij,...ji->...", _rdot(m, thermal_density(p)), m).real
     _cross_check("thermal OTOC", "trace", t, closed, traced)
     return closed
 

@@ -8,6 +8,14 @@ convention sigma_z |0> = +|0>.  hbar = 1 throughout.
 Hot-path rule: a (..., n, k) stack times one fixed operator is one GEMM over
 the stacked rows (``_rdot``, the bytes of ``@``, which calls BLAS once per
 member); a stack times a stack stays on ``@``.
+
+Layout rule for conjugate transposes: ``_dagger`` is a strided view.  A stack
+times a stack takes the view: its per-member GEMMs cost and round the same
+for either layout, so a C-order copy would only add its own cost.  A stack
+that ``_rdot`` flattens is conjugated straight into C order, which costs
+less than the strided copy its reshape would make of the view.  A stack
+times a column or a vector, and a single matrix, take the view: there BLAS
+runs a GEMV, whose bytes depend on the layout of its matrix.
 """
 
 from __future__ import annotations
@@ -92,15 +100,18 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose over the last two axes of a matrix or a stack."""
+    """Conjugate transpose over the last two axes of a matrix or a stack, as
+    a strided view (see the layout rule in the module docstring)."""
     return np.conj(m).swapaxes(-1, -2)
 
 
 def _rdot(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """a @ m for a (..., n, k) stack a and one (k, m) or (k,) operand m, as
     one product of the stacked rows by m, with the bytes of a @ m.  A strided
-    stack (U^dagger) is copied to C order: pass it only with a matrix, as
-    times a vector @ takes a transposed kernel that rounds otherwise."""
+    stack is copied to C order by the reshape, so pass U^dagger conjugated
+    into C order (``np.conj(U.swapaxes(-1, -2), order="C")``), which costs
+    less; times a vector, the product of the copy differs from @ on the view,
+    which takes a transposed kernel that rounds otherwise."""
     rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) @ m
     return rows.reshape(a.shape[:-1] + m.shape[1:])
 

@@ -15,6 +15,7 @@ from spinchannel.cli import main
 from spinchannel.config import (ConfigError, ScenarioConfig, parse_config,
                                 preset_config, preset_names, render_config)
 from spinchannel.hybrid_dynamics import IntegrationDiagnostics, TimeSeries
+from spinchannel.quantum_channel import GIBBS_EXPONENT_LIMIT
 from spinchannel.runner import (CSV_BLOCK_ROWS, HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER,
                                 RunResult, _columns, run_scenario, sweep, write_output)
 
@@ -562,6 +563,39 @@ class TestCli:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["category"] == "config"
+
+    @staticmethod
+    def fig8_lowest_temperature():
+        """The lowest T fig8 runs at: its n = 10 has the widest spectrum."""
+        p = preset_config("fig8").quantum_params(10.0)
+        return 2 * abs(p.zeeman) / GIBBS_EXPONENT_LIMIT
+
+    @pytest.mark.parametrize("override", ["T=0.002", "T=0.0025", "beta=1000", "outside"])
+    def test_low_temperature_is_a_config_error(self, override, tmp_path, capsys):
+        # cosh(2 beta zeeman) used to overflow into a traceback (exit 1)
+        if override == "outside":
+            override = f"T={self.fig8_lowest_temperature() * (1 - 1e-9)!r}"
+        code = main(["run", "--scenario", "fig8", "--set", override, "--t-end", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config"
+        assert err["message"].startswith("inverse temperature beta = ")
+        assert "at n = 10.0:" in err["message"]
+        assert f"(below T = {self.fig8_lowest_temperature()!r})" in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_low_temperature_just_inside_the_limit_runs(self, tmp_path, capsys):
+        T = self.fig8_lowest_temperature() * (1 + 1e-9)
+        code = main(["run", "--scenario", "fig8", "--set", f"T={T!r}", "--t-end", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 0, capsys.readouterr().err
+        table = np.loadtxt(tmp_path / "x.csv", delimiter=",", skiprows=1)
+        assert table.shape == (4 * 6, len(QUANTUM_CSV_HEADER))
+        assert np.isfinite(table).all()
 
     def test_ambiguous_set_key(self, capsys):
         code = main(["run", "--scenario", "fig2", "--set", "omega0=2"])

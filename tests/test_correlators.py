@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchannel.correlators import otoc_commutator, otoc_product, two_point
-from spinchannel.spin_algebra import (basis_state, bell_phi_minus, embed,
+from spinchannel.spin_algebra import (_dagger, _rdot, basis_state, bell_phi_minus, embed,
                                       expm_hermitian, pauli)
 
 S1Z = embed(pauli("z"), 1)
@@ -19,6 +21,23 @@ def haar_unitary(rng, dim=4):
 def random_state(rng, dim=4):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def haar_stack(rng, leading):
+    z = rng.normal(size=leading + (4, 4)) + 1j * rng.normal(size=leading + (4, 4))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def strided_view_otoc_product(U, psi0, W, V):
+    """F and G2 of otoc_product as written with every conjugate transpose a
+    strided view, the expression the contiguous products must reproduce."""
+    Wt = _rdot(_dagger(U), W) @ U
+    wt_v_psi = _rdot(Wt, (V @ psi0)[:, None])
+    F = (psi0.conj() @ (_dagger(Wt) @ (_dagger(V) @ wt_v_psi)))[..., 0][()]
+    G2 = (psi0.conj() @ wt_v_psi)[..., 0][()]
+    return F, G2
 
 
 def brute_force_F(U, psi0, W, V):
@@ -66,6 +85,21 @@ class TestOtocProduct:
             ph_u = np.exp(1j * rng.uniform(0, 2 * np.pi))
             assert otoc_product(U, ph_state * psi0, S1Z, S2Z).C == pytest.approx(base, abs=1e-12)
             assert otoc_product(ph_u * U, psi0, S1Z, S2Z).C == pytest.approx(base, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (0,), (1,), (2, 300), (1906,)]))
+    @settings(max_examples=30, deadline=None)
+    def test_same_bytes_as_the_strided_view_products(self, seed, leading):
+        # random complex probes and state: a contiguous copy in a GEMV
+        # contraction (V^dagger, Wt^dagger) would round otherwise
+        rng = np.random.default_rng(seed)
+        U, W, V = haar_stack(rng, leading), haar_unitary(rng), haar_unitary(rng)
+        psi0 = random_state(rng)
+        F, G2 = strided_view_otoc_product(U, psi0, W, V)
+        rec = otoc_product(U, psi0, W, V)
+        for got, expected in ((rec.F, F), (rec.G2, G2), (rec.C, 1.0 - F.real)):
+            assert np.shape(got) == leading
+            assert np.array_equal(np.atleast_1d(got).view(np.int64),
+                                  np.atleast_1d(expected).view(np.int64))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="U is not unitary"):

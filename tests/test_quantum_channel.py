@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 
 from spinchannel import correlators, quantum_channel
 from spinchannel.config import preset_config
-from spinchannel.quantum_channel import (ClassicalLimitRow, QuantumChannelParams,
+from spinchannel.quantum_channel import (DENSITY_PSD_TOL, GIBBS_EXPONENT_LIMIT,
+                                         ClassicalLimitRow, QuantumChannelParams,
                                          classical_limit_report, concurrence,
                                          eigensystem, gme, h_total, otoc_analytic,
                                          otoc_bell_spectral, otoc_numeric,
                                          thermal_concurrence, thermal_density,
                                          thermal_otoc, validate_density)
-from spinchannel.spin_algebra import basis_state, bell_phi_minus, embed, expm_hermitian, pauli
+from spinchannel.spin_algebra import (_dagger, basis_state, bell_phi_minus, embed,
+                                      expm_hermitian, pauli)
 
 FIG8 = dict(omega0=3.0, omega=2.0, g=1.0)
 
@@ -52,6 +55,34 @@ class TestParams:
         p = params(n=1e9)
         assert abs(p.Omega_n) < 1e-8
         assert abs(p.omega0R) < 1e-8
+
+    @pytest.mark.parametrize("kw", [dict(n=10.0), dict(n=0.0),
+                                    # zeeman = 0 to rounding: Omega_n sets the widest energy
+                                    dict(omega0=1.0, omega=3.0, g=2**0.5)])
+    def test_gibbs_weights_stay_finite_up_to_the_limit(self, kw):
+        widest = max(2 * abs(params(**kw).zeeman), abs(params(**kw).Omega_n))
+        beta_max = GIBBS_EXPONENT_LIMIT / widest
+        inside = params(beta=beta_max * (1 - 1e-12), **kw)
+        rho = thermal_density(inside)
+        assert np.isfinite(rho).all()
+        validate_density(rho)
+        ts = np.linspace(0.0, 50.0, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(thermal_otoc(inside, ts)).all()
+            if widest == 2 * abs(inside.zeeman):  # a product ground state, |11>
+                assert np.isfinite(thermal_concurrence(inside, ts)).all()
+        with pytest.raises(ValueError) as err:
+            params(beta=beta_max * (1 + 1e-12), **kw)
+        message = str(err.value)
+        assert f"at n = {inside.n!r}:" in message
+        assert f"above beta = {beta_max!r} (below T = {1 / beta_max!r})" in message
+
+    def test_low_temperature_reproducer_names_beta_and_t(self):
+        with pytest.raises(ValueError) as err:
+            params(n=10.0, beta=1 / 0.002)
+        assert str(err.value).startswith("inverse temperature beta = 500.0 (T = 0.002) is too "
+                                         "large at n = 10.0")
 
 
 class TestHTotal:
@@ -189,6 +220,22 @@ class TestThermalDensity:
             bad[0, 1] = 1j
             validate_density(bad)
 
+    @pytest.mark.parametrize("value, name", [(complex(np.nan, 0.0), "(nan+0j)"),
+                                             (complex(0.0, np.inf), "infj"),
+                                             (complex(-np.inf, 1.0), "(-inf+1j)")])
+    def test_non_finite_member_is_named_before_any_arithmetic(self, value, name):
+        good = np.eye(4, dtype=complex) / 4
+        bad = good.copy()
+        bad[2, 1] = value
+        stack = np.stack([good, good, bad, good, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, no LinAlgError
+            for evaluate in (validate_density, concurrence):
+                with pytest.raises(ValueError) as err:
+                    evaluate(stack)
+                assert str(err.value) == (f"density matrix has non-finite entries, the first "
+                                          f"{name} at row 2, column 1")
+
 
 class TestThermalOtoc:
     def test_exactly_zero_at_t0(self):
@@ -211,6 +258,58 @@ class TestThermalOtoc:
         for _ in range(25):
             p = random_params(rng, with_beta=True)
             thermal_otoc(p, rng.uniform(0.0, 30.0))
+
+    @staticmethod
+    def fig8_grid():
+        cfg = dataclasses.replace(preset_config("fig8"), t_end=400.0, dt_out=0.21)
+        return cfg, np.linspace(0.0, cfg.t_end, round(cfg.t_end / cfg.resolved_dt_out()) + 1)
+
+    @staticmethod
+    def spy_cross_check(monkeypatch, perturb=None):
+        """Record the thermal OTOC cross-check's arguments; perturb, if given,
+        edits the closed form before the check runs."""
+        seen = []
+        check = quantum_channel._cross_check
+
+        def recording(quantity, route, t, closed, numeric):
+            if quantity == "thermal OTOC":
+                seen.append(numeric)
+                if perturb is not None:
+                    closed = perturb(np.array(closed, dtype=float))
+            return check(quantity, route, t, closed, numeric)
+
+        monkeypatch.setattr(quantum_channel, "_cross_check", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", preset_config("fig8").n_values)
+    def test_trace_equals_the_square_route_on_fig8_grids(self, n, monkeypatch):
+        cfg, ts = self.fig8_grid()
+        p = cfg.quantum_params(n)
+        seen = self.spy_cross_check(monkeypatch)
+        thermal_otoc(p, ts)
+        U = expm_hermitian(h_total(p), ts)
+        m = ((_dagger(U) * np.diag(embed(pauli("z"), 1)).real) @ U) \
+            * np.diag(embed(pauli("z"), 2)).real
+        square = 1.0 - np.einsum("ij,...ji->...", thermal_density(p), m @ m).real
+        assert len(seen) == 1 and seen[0].shape == ts.shape
+        assert np.abs(seen[0] - square).max() <= 1e-15
+
+    def test_cross_check_raises_on_a_perturbed_closed_form(self, monkeypatch):
+        cfg, ts = self.fig8_grid()
+        p = cfg.quantum_params(10.0)
+
+        def kick(size):
+            def perturb(closed):
+                closed[777] += size
+                return closed
+            return perturb
+
+        self.spy_cross_check(monkeypatch, kick(0.5 * quantum_channel.CROSS_CHECK_TOL))
+        thermal_otoc(p, ts)
+        self.spy_cross_check(monkeypatch, kick(2 * quantum_channel.CROSS_CHECK_TOL))
+        with pytest.raises(RuntimeError, match=rf"thermal OTOC cross-check failed at "
+                                               rf"t = {float(ts[777])!r}:"):
+            thermal_otoc(p, ts)
 
     def test_bounded(self):
         rng = np.random.default_rng(56)
@@ -353,6 +452,108 @@ class TestDistinctMembers:
         # a stack without repeats is evaluated as given, not copied
         assert [m.shape for m in seen] == [(403, 4, 4), (1906, 4, 4), (4, 4), (3, 4, 4)]
         assert seen[1] is thermal_stack
+
+
+def eigvalsh_rule(rho):
+    """The message validate_density raises for positivity when every member
+    goes through eigvalsh, or None if the stack passes."""
+    evals = np.linalg.eigvalsh(rho)
+    if evals.min() < -DENSITY_PSD_TOL:
+        return f"density matrix has a negative eigenvalue ({evals.min():.3e})"
+    return None
+
+
+def density_with_spectrum(lam, q):
+    """q diag(lam) q^dagger, made Hermitian to rounding."""
+    rho = (q * lam) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@st.composite
+def near_psd_stacks(draw):
+    """Hermitian unit-trace members whose smallest eigenvalue is drawn in
+    [-2e-10, 0], with eigenvectors of the computational basis (the bound is
+    the smallest eigenvalue), slightly rotated (small discs) or random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        lam_min = draw(st.one_of(st.floats(-2e-10, 0.0),
+                                 st.sampled_from([-7e-11, -1.2e-10, -5e-11, -1e-10, 0.0])))
+        rest = rng.uniform(0.0, 1.0, 3)
+        rest *= (1.0 - lam_min) / rest.sum()
+        lam = rng.permutation(np.concatenate([[lam_min], rest]))
+        kind = draw(st.sampled_from(["basis", "rotated", "random"]))
+        if kind == "basis":
+            q = np.eye(4, dtype=complex)[rng.permutation(4)]
+        else:
+            h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            angle = 10.0 ** rng.uniform(-14, -9) if kind == "rotated" else 1.0
+            q = expm_hermitian(h + h.conj().T, angle)
+        members.append(density_with_spectrum(lam, q))
+    return np.stack(members)
+
+
+class TestPositivityCertificate:
+    """The Gershgorin certificate accepts and rejects what eigvalsh of every
+    member does, with the same message, and spares eigvalsh where it holds."""
+
+    @staticmethod
+    def outcome(rho):
+        try:
+            validate_density(rho)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @given(near_psd_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_same_decision_and_message_as_eigvalsh(self, stack):
+        assert self.outcome(stack) == eigvalsh_rule(stack)
+        for member in stack:
+            assert self.outcome(member) == eigvalsh_rule(member)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_members_either_side_of_the_tolerance(self, rotate):
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        q = expm_hermitian(h + h.conj().T, 0.7) if rotate else np.eye(4, dtype=complex)
+        accepted = density_with_spectrum(np.array([0.3, -7e-11, 0.4, 0.3 + 7e-11]), q)
+        rejected = density_with_spectrum(np.array([0.3, -1.2e-10, 0.4, 0.3 + 1.2e-10]), q)
+        assert self.outcome(accepted) is None
+        assert self.outcome(np.stack([accepted] * 3)) is None
+        message = eigvalsh_rule(rejected)
+        assert message == "density matrix has a negative eigenvalue (-1.200e-10)"
+        assert self.outcome(rejected) == message
+        assert self.outcome(np.stack([accepted, rejected, accepted])) == message
+
+    @staticmethod
+    def spy_eigvalsh(monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", preset_config("fig8").n_values)
+    def test_fig8_stacks_are_certified_without_eigvalsh(self, n, monkeypatch):
+        stacks = TestDistinctMembers.fig8_stacks(n)
+        seen = self.spy_eigvalsh(monkeypatch)
+        for stack in stacks:
+            assert validate_density(stack) is stack
+        assert seen == []
+
+    def test_only_uncertified_members_reach_eigvalsh(self, monkeypatch):
+        thermal = TestDistinctMembers.fig8_stacks(10.0)[1][:50].copy()
+        plus = np.full((4, 4), 0.25, dtype=complex)  # |++><++|: bound -0.5, eigenvalues 0, 1
+        thermal[17] = plus
+        seen = self.spy_eigvalsh(monkeypatch)
+        validate_density(thermal)
+        assert len(seen) == 1 and seen[0].shape == (1, 4, 4)
+        assert np.array_equal(seen[0][0], plus)
 
 
 class TestSpinFlipReference:

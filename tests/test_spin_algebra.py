@@ -226,6 +226,39 @@ class TestRdot:
         assert _rdot(np.zeros((3, 0, 4), dtype=complex), np.ones(4)).shape == (3, 0)
 
 
+@st.composite
+def dagger_stack_operands(draw):
+    """A 4x4 matrix or a (..., 4, 4) stack, and one 4x4 operand, every entry
+    from one drawn pool that holds 0.0 and -0.0."""
+    pool = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+                                            st.floats(-1e100, 1e100)),
+                                  min_size=1, max_size=12)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    leading = draw(st.sampled_from([(), (0,), (1,), (2, 300), (1906,)]))
+
+    def fill(shape):
+        return pool[rng.integers(0, pool.size, shape + (2,))].view(complex)[..., 0]
+
+    return fill(leading + (4, 4)), fill((4, 4))
+
+
+class TestConjugatedIntoCOrder:
+    """U^dagger conjugated straight into C order, as otoc_product hands it to
+    _rdot, gives the bytes of the product on the strided view."""
+
+    @given(dagger_stack_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_the_strided_view(self, operands):
+        a, w = operands
+        contiguous = np.conj(a.swapaxes(-1, -2), order="C")
+        assert contiguous.flags.c_contiguous
+        assert np.array_equal(contiguous.view(np.int64),
+                              np.ascontiguousarray(_dagger(a)).view(np.int64))
+        got, expected = _rdot(contiguous, w), _dagger(a) @ w
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestSpinParams:
     def test_direct_construction(self):
         sp = SpinParams(omega0=1.5, g=1.0, alpha=math.pi / 3)
