@@ -5,22 +5,25 @@ Submodules:
     spin_algebra       dense one-/two-qubit operators, states, exact propagators
     hybrid_dynamics    mean-field spin-oscillator integration (classical channel)
                        and feedback-free spin propagation on a prescribed trajectory
-    correlators        OTOC and two-point correlators
+    correlators        the OTOC and two-point correlator of a propagator stack
     quantum_channel    effective oscillator-mediated spin-spin model (quantum channel)
     config / runner    scenario presets, sweeps, CSV/JSON output
     cli                command-line entry point
+
+Second definitions that no run path uses (the complex equations of motion,
+the commutator-form OTOC, the classical-limit report) are test oracles in
+tests/oracles.py.
 """
 
 from .spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
-                           expectation, expm_hermitian, pauli, sz_nv)
+                           expm_hermitian, pauli, sz_nv)
 from .hybrid_dynamics import (CoefficientSeries, HybridState, IntegrationError,
                               OscParams, Regime, RegimeError, TimeSeries,
-                              build_spin_hamiltonian, classical_energy, connectivity,
-                              derivative, energy_budget, integrate, propagate_nofeedback)
-from .correlators import CorrelatorRecord, otoc_commutator, otoc_product, two_point
-from .quantum_channel import (QuantumChannelParams, classical_limit_report,
-                              concurrence, eigensystem, gme, h_total,
-                              otoc_analytic, otoc_bell_spectral, otoc_numeric,
+                              classical_energy, energy_budget, integrate,
+                              propagate_nofeedback)
+from .correlators import CorrelatorRecord, otoc_product
+from .quantum_channel import (QuantumChannelParams, concurrence, eigensystem, gme,
+                              h_total, otoc_analytic, otoc_bell_spectral, otoc_numeric,
                               thermal_concurrence, thermal_density, thermal_otoc)
 from .config import ScenarioConfig, parse_config, preset_config, render_config
 from .runner import RunResult, run_scenario, sweep, write_output

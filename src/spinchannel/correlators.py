@@ -1,8 +1,10 @@
 """Out-of-time-ordered and time-ordered correlators of two-qubit operators.
 
-All routines take an accumulated propagator U (the full evolution operator
-from the initial time), the initial state, and a pair of unitary probe
-operators W, V.  Heisenberg picture: W(t) = U^dag W U.
+``otoc_product`` takes an accumulated propagator U (the full evolution
+operator from the initial time), the initial state, and a pair of unitary
+probe operators W, V.  Heisenberg picture: W(t) = U^dag W U.  The
+commutator form of the OTOC and a scalar two-point correlator, which no run
+path needs, are test oracles in tests/oracles.py.
 
 Over a stack U, U^dag W and W(t) V psi0 are one GEMM each (``_rdot``); stack
 times stack, and V^dag and <psi0| acting from the left, stay on ``@`` (as
@@ -19,7 +21,7 @@ import numpy as np
 
 from .spin_algebra import _dagger, _rdot
 
-__all__ = ["CorrelatorRecord", "otoc_product", "otoc_commutator", "two_point"]
+__all__ = ["CorrelatorRecord", "otoc_product"]
 
 UNITARITY_TOL = 1e-8
 
@@ -27,9 +29,8 @@ UNITARITY_TOL = 1e-8
 @dataclass(frozen=True)
 class CorrelatorRecord:
     """Out-of-time-order product F, OTOC C = 1 - Re F and two-point
-    correlator G2, at one time or (as arrays) over a stack of propagators."""
+    correlator G2, of one propagator or (as arrays) of a stack."""
 
-    t: float | np.ndarray
     F: complex | np.ndarray
     C: float | np.ndarray
     G2: complex | np.ndarray
@@ -38,25 +39,27 @@ class CorrelatorRecord:
 def _check_unitary(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     defect = np.abs(_dagger(m) @ m - np.eye(m.shape[-1])).max(initial=0.0)
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # a NaN defect fails too
         raise ValueError(f"{name} is not unitary (defect {defect:.3e} > {UNITARITY_TOL:.1e})")
     return m
 
 
 def _check_state(psi: np.ndarray) -> np.ndarray:
+    """psi as a complex array, once its norm is 1 to within UNITARITY_TOL."""
     psi = np.asarray(psi, dtype=complex)
     drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > UNITARITY_TOL:
+    if not drift <= UNITARITY_TOL:
         raise ValueError(f"state is not normalized (|norm-1| = {drift:.3e})")
     return psi
 
 
-def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray,
-                 t: float | np.ndarray = 0.0) -> CorrelatorRecord:
+def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray
+                 ) -> CorrelatorRecord:
     """OTOC from the out-of-time-order product form.
 
     F = <psi0| U^dag W^dag U V^dag U^dag W U V |psi0>,  C = 1 - Re F.
-    For unitary W, V this equals the commutator form (see otoc_commutator).
+    For unitary W, V this equals the commutator form
+    (1/2) <psi0| [W(t),V]^dag [W(t),V] |psi0>.
     Also evaluates the two-point correlator G2 = <psi0| U^dag W U V |psi0>.
     A (..., 4, 4) stack U, each member checked, gives F, C, G2 of its shape.
     """
@@ -70,23 +73,4 @@ def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray,
     wt_v_psi = _rdot(Wt, (V @ psi0)[:, None])
     F = (psi0.conj() @ (_dagger(Wt) @ (_dagger(V) @ wt_v_psi)))[..., 0][()]
     G2 = (psi0.conj() @ wt_v_psi)[..., 0][()]
-    return CorrelatorRecord(t=t, F=F, C=1.0 - F.real, G2=G2)
-
-
-def otoc_commutator(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray) -> float:
-    """OTOC from the commutator form, (1/2) <psi0| [W(t),V]^dag [W(t),V] |psi0>."""
-    U = _check_unitary(U, "U")
-    psi0 = _check_state(psi0)
-    W = _check_unitary(W, "W")
-    V = _check_unitary(V, "V")
-    Wt = _dagger(U) @ W @ U
-    comm_psi = (Wt @ (V @ psi0)) - (V @ (Wt @ psi0))
-    return 0.5 * float(np.vdot(comm_psi, comm_psi).real)
-
-
-def two_point(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray) -> complex:
-    """Time-ordered two-point correlator <psi0| W(t) V |psi0>."""
-    U = _check_unitary(U, "U")
-    psi0 = _check_state(psi0)
-    Wt = _dagger(U) @ np.asarray(W, dtype=complex) @ U
-    return complex(np.vdot(psi0, Wt @ (np.asarray(V, dtype=complex) @ psi0)))
+    return CorrelatorRecord(F=F, C=1.0 - F.real, G2=G2)

@@ -49,10 +49,6 @@ __all__ = [
     "TimeSeries",
     "IntegrationDiagnostics",
     "EnergyBudget",
-    "build_spin_hamiltonian",
-    "site_hamiltonian",
-    "connectivity",
-    "derivative",
     "separability_defect",
     "integrate",
     "CoefficientSeries",
@@ -66,7 +62,6 @@ CUM_DRIFT_LIMIT = 1e-6     # run is aborted if accumulated drift exceeds this
 _POLAR_ITERATIONS = 3      # Newton-Schulz iterations before a projection fails
 _POLAR_ROUNDING = 1e-14    # unitarity defect at which the iteration has converged
 
-_I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 _SZ = pauli("z")
 _SIGMA_OPS = [embed(pauli(ax), site) for site in (1, 2) for ax in ("x", "y", "z")]
@@ -127,14 +122,6 @@ class OscParams:
             raise ValueError("connectivity is undefined for degenerate oscillator frequencies")
         D = K * abs(omega1**2 - omega2**2)
         return cls(omega1=omega1, omega2=omega2, D=D, **kwargs)
-
-
-def connectivity(op: OscParams) -> float:
-    """Dimensionless inter-oscillator coupling strength K = D / |w1^2 - w2^2|."""
-    denom = abs(op.omega1**2 - op.omega2**2)
-    if denom == 0.0:
-        raise ValueError("connectivity is undefined: omega1 and omega2 are degenerate")
-    return op.D / denom
 
 
 class Regime(enum.Enum):
@@ -263,21 +250,6 @@ class EnergyBudget:
     max_total_drift_scaled: float
 
 
-def site_hamiltonian(x: float, sp: SpinParams) -> np.ndarray:
-    """Single-site 2x2 spin Hamiltonian at oscillator displacement x."""
-    return 0.5 * sp.omega0 * _SZ + (sp.g * x) * sp.site_operator()
-
-
-def build_spin_hamiltonian(x1: float, x2: float, sp: SpinParams) -> np.ndarray:
-    """Two-spin Hamiltonian at oscillator displacements (x1, x2).
-
-    (omega0/2)(sigma1_z + sigma2_z) + g x1 S1^z + g x2 S2^z, with S^z the
-    dressed-basis spin operator of each site.  Always a sum of single-site
-    terms, hence its propagator factorizes exactly.
-    """
-    return np.kron(site_hamiltonian(x1, sp), _I2) + np.kron(_I2, site_hamiltonian(x2, sp))
-
-
 def classical_energy(s: HybridState, op: OscParams) -> float:
     """Oscillator energy: kinetic + harmonic + quartic + coupling terms
     (elementwise if the state's coordinates are arrays)."""
@@ -285,18 +257,6 @@ def classical_energy(s: HybridState, op: OscParams) -> float:
             + 0.5 * op.omega1**2 * s.x1**2 + 0.5 * op.omega2**2 * s.x2**2
             + 0.25 * op.xi * (s.x1**4 + s.x2**4)
             + 0.5 * op.D * (s.x1 - s.x2)**2)
-
-
-def derivative(s: HybridState, op: OscParams, sp: SpinParams) -> HybridState:
-    """Time derivative of every dynamical variable, as a HybridState whose
-    fields hold the derivatives (x fields carry velocities, v fields carry
-    accelerations, psi/U carry d(psi)/dt and dU/dt)."""
-    H = build_spin_hamiltonian(s.x1, s.x2, sp)
-    f1 = _real_expectation(s.psi, embed(sp.site_operator(), 1))
-    f2 = _real_expectation(s.psi, embed(sp.site_operator(), 2))
-    a1, a2 = _force(op, sp.g)(s.t, s.x1, s.v1, s.x2, s.v2, f1, f2)
-    return HybridState(t=s.t, x1=s.v1, v1=a1, x2=s.v2, v2=a2,
-                       psi=-1j * (H @ s.psi), U=-1j * (H @ s.U))
 
 
 def _force(op: OscParams, g: float):
@@ -315,10 +275,6 @@ def _force(op: OscParams, g: float):
         return a1, a2
 
     return force
-
-
-def _real_expectation(psi: np.ndarray, op: np.ndarray) -> float:
-    return float(np.vdot(psi, op @ psi).real)
 
 
 def separability_defect(U: np.ndarray) -> float | np.ndarray:
@@ -443,10 +399,7 @@ def _checked_state(psi: np.ndarray, tol: float) -> np.ndarray:
     psi is normalized."""
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
-    psi = np.asarray(psi, dtype=complex).copy()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("initial psi is not normalized")
-    return psi
+    return correlators._check_state(psi).copy()
 
 
 def _time_grid(t0: float, t_end: float, dt_out: float) -> np.ndarray:
@@ -602,7 +555,7 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     # einsum result
     ops = np.stack(_SIGMA_OPS + list(_coupling_operators(sp)))
     expect = np.einsum("ki,oij,kj->ok", psis.conj(), ops, psis, optimize=True).real.copy()
-    rec = correlators.otoc_product(Us, psi0, W, V, t=t_grid)
+    rec = correlators.otoc_product(Us, psi0, W, V)
 
     x1, v1, x2, v2 = xs
     s1x, s1y, s1z, s2x, s2y, s2z, f1, f2, h_nv = expect
@@ -621,7 +574,7 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
 
 def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinParams,
                          psi0: np.ndarray, t_end: float, tol: float,
-                         dt_out: float = 0.05, t0: float = 0.0) -> CoefficientSeries:
+                         dt_out: float = 0.05) -> CoefficientSeries:
     """Propagate the two-spin wavefunction under a prescribed trajectory.
 
     ``traj(t)`` supplies the oscillator displacements (x1, x2); the spins
@@ -629,12 +582,12 @@ def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinP
     back-action on the trajectory.  U alone is integrated from the identity
     with the maps of ``_spin_maps``, under the accepted-step guard and the
     sample fix-up of ``integrate`` (same tol range, thresholds and drift
-    limit), and the coefficients are U(t) psi0 on the uniform grid.
+    limit), and the coefficients are U(t) psi0 on the uniform grid from t = 0.
     """
-    if t_end <= t0:
-        raise ValueError(f"t_end ({t_end}) must exceed t0 ({t0})")
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     psi0 = _checked_state(psi0, tol)
-    t_grid = _time_grid(t0, t_end, dt_out)
+    t_grid = _time_grid(0.0, t_end, dt_out)
     maps = _spin_maps(sp)
     g = sp.g
 

@@ -55,8 +55,6 @@ __all__ = [
     "concurrence",
     "gme",
     "thermal_concurrence",
-    "classical_limit_report",
-    "ClassicalLimitRow",
 ]
 
 _S1Z = embed(pauli("z"), 1)
@@ -192,7 +190,7 @@ def otoc_numeric(p: QuantumChannelParams, t: float | np.ndarray,
     evaluated from the exact propagator U of the effective Hamiltonian on t
     (built here unless given)."""
     psi0 = bell_phi_minus() if psi0 is None else np.asarray(psi0, dtype=complex)
-    return correlators.otoc_product(_propagator(p, t, U), psi0, _S1Z, _S2Z, t=t).C
+    return correlators.otoc_product(_propagator(p, t, U), psi0, _S1Z, _S2Z).C
 
 
 def thermal_density(p: QuantumChannelParams) -> np.ndarray:
@@ -357,34 +355,3 @@ def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray, *,
     _cross_check("thermal concurrence", "Wootters", t, closed,
                  concurrence(_rdot(U, thermal_density(p)) @ _dagger(U)))
     return closed[()]
-
-
-@dataclass(frozen=True)
-class ClassicalLimitRow:
-    """Peak OTOC signals within the observation window at one photon number."""
-
-    n: float
-    otoc_amplitude: float
-    thermal_otoc_amplitude: float
-
-
-def classical_limit_report(p: QuantumChannelParams, t_max: float,
-                           n_grid: list[float], samples: int = 512) -> list[ClassicalLimitRow]:
-    """Peak Bell-state and thermal OTOC over [0, t_max] for increasing n.
-
-    As n grows, Omega_n shrinks and any feedback signature needs waiting
-    times ~ 1/Omega_n; within a fixed window the peaks fade accordingly.
-    """
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be strictly increasing")
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    ts = np.linspace(0.0, t_max, samples)
-    rows = []
-    for n in n_grid:
-        pn = QuantumChannelParams(omega0=p.omega0, omega=p.omega, g=p.g, n=n, beta=p.beta)
-        U = expm_hermitian(h_total(pn), ts)
-        rows.append(ClassicalLimitRow(
-            n=n, otoc_amplitude=float(otoc_numeric(pn, ts, U=U).max()),
-            thermal_otoc_amplitude=float(thermal_otoc(pn, ts, U=U).max())))
-    return rows

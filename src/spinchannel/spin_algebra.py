@@ -29,9 +29,7 @@ __all__ = [
     "pauli",
     "sz_nv",
     "embed",
-    "expectation",
     "expm_hermitian",
-    "commutator",
     "SpinParams",
     "basis_state",
     "bell_phi_minus",
@@ -89,16 +87,6 @@ def embed(op: np.ndarray, site: int) -> np.ndarray:
     raise ValueError(f"site must be 1 or 2, got {site!r}")
 
 
-def expectation(state: np.ndarray, op: np.ndarray) -> complex:
-    """<psi|op|psi> for a length-4 state vector."""
-    state = np.asarray(state, dtype=complex)
-    return complex(np.vdot(state, op @ state))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes of a matrix or a stack, as
     a strided view (see the layout rule in the module docstring)."""
@@ -121,11 +109,11 @@ def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
 
     Exact (to rounding) at any t, unlike truncated series; times of shape (T,)
     share one eigendecomposition and give a (T, n, n) stack.  Rejects input
-    whose anti-Hermitian part exceeds HERMITICITY_TOL.
+    whose anti-Hermitian part exceeds HERMITICITY_TOL or is NaN.
     """
     h = np.asarray(h, dtype=complex)
     defect = np.abs(h - _dagger(h)).max()
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:  # a NaN defect fails too
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
     energies, vectors = np.linalg.eigh(h)
     phases = np.exp(-1j * energies * np.asarray(t, dtype=float)[..., None])
@@ -136,8 +124,8 @@ def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
 class SpinParams:
     """Parameters of the two identical NV spins.
 
-    omega0 -- level splitting (hbar = 1), omega0 = sqrt(omega_R^2 + delta^2)
-    when built from a Rabi frequency and detuning.
+    omega0 -- level splitting (hbar = 1), sqrt(omega_R^2 + delta^2) for a
+              Rabi frequency omega_R and detuning delta.
     g      -- spin-oscillator coupling strength.
     alpha  -- mixing angle of the dressed basis, tan(alpha) = -omega_R/delta.
     """
@@ -149,13 +137,6 @@ class SpinParams:
     def __post_init__(self):
         if self.omega0 < 0:
             raise ValueError(f"omega0 must be non-negative, got {self.omega0}")
-
-    @classmethod
-    def from_rabi(cls, omega_R: float, delta: float, g: float) -> "SpinParams":
-        """Derive omega0 and alpha from the Rabi frequency and detuning."""
-        omega0 = math.hypot(omega_R, delta)
-        alpha = math.atan2(-omega_R, delta)
-        return cls(omega0=omega0, g=g, alpha=alpha)
 
     def site_operator(self) -> np.ndarray:
         """The 2x2 dressed spin operator entering the coupling, sz_nv(alpha)."""

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import spinchannel.quantum_channel as qc
-from spinchannel.correlators import otoc_commutator, otoc_product
+from spinchannel.correlators import otoc_product
 from spinchannel.hybrid_dynamics import (HybridState, OscParams, Regime,
                                          energy_budget, integrate)
 from spinchannel.quantum_channel import (QuantumChannelParams, concurrence,
@@ -36,6 +36,8 @@ from spinchannel.quantum_channel import (QuantumChannelParams, concurrence,
                                          thermal_otoc)
 from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus,
                                       embed, expm_hermitian, pauli)
+
+from oracles import otoc_commutator
 
 SP = SpinParams(omega0=1.5, g=1.0, alpha=math.pi / 3)
 S1Z, S2Z = embed(pauli("z"), 1), embed(pauli("z"), 2)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from spinchannel.cli import main
 from spinchannel.config import (ConfigError, ScenarioConfig, parse_config,
                                 preset_config, preset_names, render_config)
-from spinchannel.hybrid_dynamics import IntegrationDiagnostics, TimeSeries
+from spinchannel.hybrid_dynamics import IntegrationDiagnostics, OscParams, TimeSeries
 from spinchannel.quantum_channel import GIBBS_EXPONENT_LIMIT
 from spinchannel.runner import (CSV_BLOCK_ROWS, HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER,
                                 RunResult, _columns, run_scenario, sweep, write_output)
@@ -134,6 +134,14 @@ class TestParseConfig:
         text = "[scenario]\nname = fig2\n[oscillators]\nK = 0.1\nD = 3.0\n"
         with pytest.raises(ConfigError, match="inconsistent coupling"):
             parse_config(text)
+
+    def test_K_resolves_through_from_connectivity(self):
+        cfg = preset_config("fig3")
+        assert cfg.osc_params() == OscParams.from_connectivity(1.0, 1.5, 10.0)
+        with pytest.raises(ConfigError, match="K cannot be resolved: connectivity is undefined"):
+            parse_config("[scenario]\nname = fig2\n[oscillators]\nomega2 = 1.0\n")
+        with pytest.raises(ConfigError, match="K cannot be resolved"):
+            short(cfg, omega2=1.0).effective_D()
 
     def test_one_field_of_a_pair_resets_the_other(self):
         cfg = parse_config("[scenario]\nname = fig2\n[oscillators]\nD = 3.0\n")

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinchannel.correlators import otoc_commutator, otoc_product, two_point
+from spinchannel.correlators import otoc_product
 from spinchannel.spin_algebra import (_dagger, _rdot, basis_state, bell_phi_minus, embed,
                                       expm_hermitian, pauli)
+
+from oracles import otoc_commutator, two_point
 
 S1Z = embed(pauli("z"), 1)
 S2Z = embed(pauli("z"), 2)
@@ -106,6 +108,21 @@ class TestOtocProduct:
             otoc_product(2.0 * I4, basis_state("01"), S1Z, S2Z)
         with pytest.raises(ValueError, match="not normalized"):
             otoc_product(I4, 2.0 * basis_state("01"), S1Z, S2Z)
+
+    def test_rejects_nan(self):
+        # a NaN defect compares False with the tolerance, and is still rejected
+        U = haar_stack(np.random.default_rng(30), (5,))
+        U[3, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="U is not unitary"):
+            otoc_product(U, basis_state("01"), S1Z, S2Z)
+        psi0 = basis_state("01")
+        psi0[2] = np.nan
+        with pytest.raises(ValueError, match="not normalized"):
+            otoc_product(I4, psi0, S1Z, S2Z)
+        W = S1Z.copy()
+        W[0, 0] = np.nan
+        with pytest.raises(ValueError, match="W is not unitary"):
+            otoc_product(I4, basis_state("01"), W, S2Z)
 
 
 class TestOtocCommutator:

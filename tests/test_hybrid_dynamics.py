@@ -12,14 +12,14 @@ from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState,
                                          IntegrationDiagnostics, IntegrationError,
                                          OscParams, Regime, RegimeError, _coupling_operators,
                                          _force, _guard_step, _hybrid_rhs, _polar_projection,
-                                         _real_form, _spin_maps,
-                                         build_spin_hamiltonian, classical_energy,
-                                         connectivity, derivative, energy_budget, integrate,
-                                         propagate_nofeedback, separability_defect,
-                                         site_hamiltonian)
+                                         _real_form, _spin_maps, classical_energy,
+                                         energy_budget, integrate, propagate_nofeedback,
+                                         separability_defect)
 from spinchannel.runner import run_scenario
 from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
                                       expm_hermitian, pauli)
+
+from oracles import build_spin_hamiltonian, derivative, site_hamiltonian
 
 SP = SpinParams(omega0=1.5, g=1.0, alpha=math.pi / 3)
 PSI01 = basis_state("01")
@@ -54,21 +54,6 @@ class TestOscParams:
             OscParams(omega1=1.0, omega2=1.5, D=0.1, gamma=-1.0)
         with pytest.raises(ValueError, match="F"):
             OscParams(omega1=1.0, omega2=1.5, D=0.1, F=-0.5)
-
-
-class TestConnectivity:
-    def test_fig2_value(self):
-        assert connectivity(OscParams(omega1=1.0, omega2=1.5, D=0.125)) == pytest.approx(0.1)
-
-    def test_fig3_value(self):
-        assert connectivity(OscParams(omega1=1.0, omega2=1.5, D=12.5)) == pytest.approx(10.0)
-
-    def test_uncoupled(self):
-        assert connectivity(OscParams(omega1=1.0, omega2=1.5, D=0.0)) == 0.0
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            connectivity(OscParams(omega1=1.0, omega2=1.0, D=0.1))
 
 
 class TestRegime:
@@ -493,6 +478,15 @@ class TestIntegrate:
         bad = initial(psi=2.0 * PSI01)
         with pytest.raises(ValueError, match="not normalized"):
             integrate(bad, weak_k(), SP, 1.0, 0.1, 1e-9)
+
+    def test_nan_initial_psi_is_not_normalized(self):
+        # rejected before the stepper is built, not as an IntegrationError
+        psi = PSI01.copy()
+        psi[0] = np.nan
+        with pytest.raises(ValueError, match="not normalized"):
+            integrate(initial(psi=psi), weak_k(), SP, 1.0, 0.1, 1e-9)
+        with pytest.raises(ValueError, match="not normalized"):
+            propagate_nofeedback(lambda t: (0.0, 0.0), SP, psi, t_end=1.0, tol=1e-9)
 
     def test_bell_initial_state_runs(self):
         series = integrate(initial(psi=bell_phi_minus()), weak_k(), SP, 10.0, 0.1, 1e-9)
