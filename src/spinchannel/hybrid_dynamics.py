@@ -72,13 +72,15 @@ class RegimeError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Integration failed (stiffness or excessive invariant drift).
+    """Integration failed (stiffness, excessive invariant drift, or a quantum
+    channel cross-check).
 
     ``t``, ``h`` and ``err_norm`` locate a failure of the stepping loop: the
     stepper's time, its step size (the step being tried or, after an accepted
     step, the next one proposed) and the error norm of its last trial step.
     If the stepper was never built, t is the start time and h and err_norm
-    are None; all three are None for a failure outside the loop.
+    are None; all three are None for a failure outside the loop.  A failed
+    cross-check gives the worst t on its grid, with h and err_norm None.
     """
 
     def __init__(self, message: str, t: float | None = None, h: float | None = None,

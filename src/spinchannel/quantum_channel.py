@@ -19,11 +19,11 @@ unless it is passed as the keyword-only ``U``.  Given or built, the results
 are the same bytes, so a caller that needs several quantities on one grid
 computes U once and shares it: the quantum runner builds one U per photon
 number, and its columns and both cross-checks all come from it.
-``concurrence`` runs the Wootters pipeline once per bitwise-distinct member
-of a stack and copies each result to the member's repeats, with the same
-bytes as evaluating every member.  The Bell start is an eigenstate of H, so
-U rho0 U^dagger differs from rho0 only by rounding and repeats itself: the
-Bell stacks of fig8 run to t_end 400 have 281-414 distinct members in 1906.
+A pure start stays pure, so the runner's concurrence column is
+2 |psi00 psi11 - psi01 psi10| of psi(t) = U psi0 (Hill & Wootters, PRL 78,
+5022 (1997)), exact to rounding; ``concurrence``, Wootters' formula for
+density matrices, serves the thermal cross-check.  A failed cross-check
+raises an IntegrationError that carries the worst t.
 
 The oscillator is never represented as a Fock ladder: n is a fixed
 non-negative real parameter, and the n -> infinity limit (Omega_n -> 0,
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlators
+from .hybrid_dynamics import IntegrationError
 from .spin_algebra import _dagger, _rdot, basis_state, bell_phi_minus, embed, expm_hermitian, pauli
 
 __all__ = [
@@ -250,12 +251,14 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
 
 
 def _cross_check(quantity: str, route: str, t, closed, numeric) -> None:
-    """Raise unless closed form and dense route agree at every t; name the worst t."""
+    """Raise an IntegrationError unless closed form and dense route agree at
+    every t; name the worst t, and carry it as the error's t."""
     t, closed, numeric = (a.ravel() for a in np.broadcast_arrays(t, closed, numeric))
     k = np.argmax(np.abs(closed - numeric))
     if abs(closed[k] - numeric[k]) > CROSS_CHECK_TOL:
-        raise RuntimeError(f"{quantity} cross-check failed at t = {float(t[k])!r}: closed "
-                           f"form {float(closed[k])!r} vs {route} {float(numeric[k])!r}")
+        raise IntegrationError(f"{quantity} cross-check failed at t = {float(t[k])!r}: "
+                               f"closed form {float(closed[k])!r} vs {route} "
+                               f"{float(numeric[k])!r}", t=float(t[k]))
 
 
 def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray, *,
@@ -289,36 +292,24 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     max(0, R1 - R2 - R3 - R4) with R_i the descending square roots of the
     eigenvalues of rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  Tiny
     negative eigenvalues in [EIGENVALUE_CLAMP, 0) are clamped to zero;
-    anything more negative is rejected.
-
-    Each bitwise-distinct member of a stack is validated and evaluated once,
-    in order of first occurrence, and its result is copied to every repeat,
-    so the result and any error message are the same bytes as evaluating
-    every member.  Members are told apart by their bytes, not by ==, so 0.0
-    and -0.0 (and NaN payloads) stay distinct.  A stack in which no member
-    repeats is evaluated as given.
+    anything more negative is rejected.  Near a pure state three of those
+    eigenvalues are zero but for rounding, ~1e-17, and their roots leave
+    errors of ~1e-8; an evolved pure state's concurrence is exact from the
+    state vector (_pure_concurrence).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        return _wootters(rho)  # validate_density names the shape
-    rank = {}
-    inverse = [rank.setdefault(key, len(rank))
-               for key in rho.reshape(-1, 16).view(np.dtype((np.void, 256))).ravel().tolist()]
-    if len(rank) == len(inverse):
-        return _wootters(rho)[()]  # nothing repeats: a copy of the members saves no work
-    members = np.frombuffer(b"".join(rank), dtype=complex).reshape(-1, 4, 4)
-    return _wootters(members)[inverse].reshape(rho.shape[:-2])[()]
-
-
-def _wootters(rho: np.ndarray) -> np.ndarray:
-    """Validate the (..., 4, 4) stack rho and return the Wootters concurrence
-    of each of its members."""
     evals = np.linalg.eigvals(_spin_flip(validate_density(rho))).real
     if evals.min(initial=0.0) < EIGENVALUE_CLAMP:
         raise ValueError(f"spin-flip spectrum has a negative eigenvalue ({evals.min():.3e})")
     roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
     c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
-    return np.where(c > 0.0, c, 0.0)
+    return np.where(c > 0.0, c, 0.0)[()]
+
+
+def _pure_concurrence(psi: np.ndarray) -> np.ndarray:
+    """Concurrence 2 |psi00 psi11 - psi01 psi10| of each normalized two-qubit
+    state in a (..., 4) stack (Hill & Wootters, PRL 78, 5022 (1997)): the
+    Wootters concurrence of |psi><psi|, without its square roots."""
+    return 2.0 * np.abs(psi[..., 0] * psi[..., 3] - psi[..., 1] * psi[..., 2])
 
 
 def _spin_flip(rho: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from . import quantum_channel as qc
 from .config import (ConfigError, ScenarioConfig, apply_overrides, render_config,
                      resolve_field, _float, _float_list)
 from .hybrid_dynamics import HybridState, Regime, TimeSeries, integrate
-from .spin_algebra import _dagger, _rdot, expm_hermitian
+from .spin_algebra import _rdot, expm_hermitian
 
 __all__ = ["RunResult", "run_scenario", "sweep", "write_output",
            "HYBRID_CSV_HEADER", "QUANTUM_CSV_HEADER"]
@@ -67,14 +67,13 @@ def _run_quantum(cfg: ScenarioConfig) -> tuple[dict[str, np.ndarray], dict]:
     n_out = max(1, round(cfg.t_end / cfg.resolved_dt_out())) if cfg.t_end > 0 else 0
     ts = np.linspace(0.0, cfg.t_end, n_out + 1)
     psi0 = cfg.initial_spin_state()
-    rho0 = np.outer(psi0, psi0.conj())
 
     parts = []
     for n in cfg.n_values:
         p = cfg.quantum_params(n)
         # one propagator per photon number: every column and cross-check uses it
         U = expm_hermitian(qc.h_total(p), ts)
-        c = qc.concurrence(_rdot(U, rho0) @ _dagger(U))
+        c = qc._pure_concurrence(_rdot(U, psi0))  # psi(t) = U psi0 stays pure
         parts.append((ts, np.full(ts.size, n), qc.otoc_numeric(p, ts, psi0, U=U),
                       qc.thermal_otoc(p, ts, U=U), qc.thermal_concurrence(p, ts, U=U),
                       c, qc.gme(c)))

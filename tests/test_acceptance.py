@@ -20,6 +20,7 @@ quoted figure:
   ~2.4).
 """
 
+import dataclasses
 import math
 import time
 
@@ -27,6 +28,7 @@ import numpy as np
 import pytest
 
 import spinchannel.quantum_channel as qc
+from spinchannel.config import preset_config
 from spinchannel.correlators import otoc_product
 from spinchannel.hybrid_dynamics import (HybridState, OscParams, Regime,
                                          energy_budget, integrate)
@@ -34,6 +36,7 @@ from spinchannel.quantum_channel import (QuantumChannelParams, concurrence,
                                          eigensystem, gme, h_total, otoc_numeric,
                                          thermal_concurrence, thermal_density,
                                          thermal_otoc)
+from spinchannel.runner import run_scenario
 from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus,
                                       embed, expm_hermitian, pauli)
 
@@ -258,6 +261,19 @@ def test_criterion_6_entanglement_constants():
                   f"double-precision library {worst_c:.3e}, {worst_g:.3e}"), \
         f"entanglement constants drifted: hp {worst_c_hp:.2e}/{worst_g_hp:.2e}, " \
         f"double {worst_c:.2e}/{worst_g:.2e}"
+
+
+def test_criterion_6_on_the_fig8_grid():
+    """Criterion 6's double-precision bounds on every row of the fig8 table
+    run to t_end 400 (4 x 1906 rows), as the runner writes it."""
+    table = run_scenario(dataclasses.replace(preset_config("fig8"), t_end=400.0)).qtable
+    assert table["t"].size == 4 * 1906
+    worst_c = float(np.abs(table["concurrence"] - 1.0).max())
+    worst_g = float(np.abs(table["gme"] - 0.5).max())
+    ok = worst_c <= 1e-10 and worst_g <= 1e-6
+    assert report(6, ok, f"fig8 table to t_end 400, every row: concurrence dev "
+                         f"{worst_c:.3e} (bound 1e-10), GME dev {worst_g:.3e} (bound 1e-6)"), \
+        f"fig8 entanglement columns drifted: {worst_c:.2e}/{worst_g:.2e}"
 
 
 def test_criterion_7a_energy_conservation(hybrid_grid):

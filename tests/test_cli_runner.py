@@ -290,6 +290,18 @@ class TestRunScenario:
         c = np.clip(res.qtable["concurrence"], 0.0, 1.0)
         assert np.array_equal(res.qtable["gme"], 0.5 * (1 - np.sqrt(1 - c)))
 
+    def test_concurrence_of_a_product_start_is_exact(self):
+        # the column is the pure-state concurrence of psi(t) = U psi0, so it
+        # follows |sin(2 Omega_n t)| to rounding, over every fig8 photon number
+        cfg = short(preset_config("fig8"), state="01", n_values=(0.0, 3.0, 10.0, 1e4),
+                    t_end=100.0)
+        res = run_scenario(cfg)
+        t, n = res.qtable["t"], res.qtable["n"]
+        omega_n = np.array([cfg.quantum_params(v).Omega_n for v in n])
+        c = res.qtable["concurrence"]
+        assert np.abs(c - np.abs(np.sin(2 * omega_n * t))).max() < 1e-12
+        assert c.min() >= 0.0 and c.max() <= 1.0 + 4 * np.finfo(float).eps
+
     def test_one_propagator_per_photon_number(self, monkeypatch):
         from spinchannel import quantum_channel, runner
         calls = {"expm": 0, "density": 0}
@@ -604,6 +616,25 @@ class TestCli:
         table = np.loadtxt(tmp_path / "x.csv", delimiter=",", skiprows=1)
         assert table.shape == (4 * 6, len(QUANTUM_CSV_HEADER))
         assert np.isfinite(table).all()
+
+    def test_thermal_cross_check_failure_is_an_integration_error(self, tmp_path, capsys):
+        # zeeman 0, n = 0 and beta = 50: the thermal state is near the pure Bell
+        # ground state, where Wootters' route misses the closed form by ~1e-8,
+        # more than CROSS_CHECK_TOL; this used to exit 1 with a traceback
+        code = main(["run", "--scenario", "fig8", "--set", "quantum.omega0=1",
+                     "--set", "quantum.omega=3", "--set", "quantum.g=1.4142135623730951",
+                     "--set", "quantum.n=0", "--set", "beta=50", "--t-end", "50",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "integration"
+        assert 0.0 <= err["t"] <= 50.0 and err["h"] is None and err["err_norm"] is None
+        assert err["message"].startswith(
+            f"thermal concurrence cross-check failed at t = {err['t']!r}: closed form 1.0 "
+            f"vs Wootters 0.99999")
+        assert not list(tmp_path.iterdir())
 
     def test_ambiguous_set_key(self, capsys):
         code = main(["run", "--scenario", "fig2", "--set", "omega0=2"])

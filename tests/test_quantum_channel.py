@@ -363,8 +363,8 @@ class TestConcurrence:
 
 
 class TestDistinctMembers:
-    """concurrence evaluates each bitwise-distinct member of a stack once and
-    gives the same bytes, and the same errors, as evaluating every member."""
+    """concurrence of a stack gives the same bytes, and the same errors, as
+    concurrence of each of its members, and evaluates the stack as given."""
 
     @staticmethod
     def fig8_stacks(n):
@@ -377,36 +377,11 @@ class TestDistinctMembers:
         return [U @ rho @ U.conj().swapaxes(-1, -2)
                 for rho in (np.outer(bell, bell.conj()), thermal_density(p))]
 
-    @staticmethod
-    def spy(monkeypatch):
-        """Record the stack handed to the private evaluator on each call."""
-        seen = []
-        evaluate = quantum_channel._wootters
-
-        def recording(rho):
-            seen.append(rho)
-            return evaluate(rho)
-
-        monkeypatch.setattr(quantum_channel, "_wootters", recording)
-        return seen
-
     @pytest.mark.parametrize("n", preset_config("fig8").n_values)
     def test_fig8_stacks_equal_per_member(self, n):
         for stack in self.fig8_stacks(n):
             assert stack.shape == (1906, 4, 4)
             assert np.array_equal(concurrence(stack), [concurrence(m) for m in stack])
-
-    def test_signed_zero_members_stay_distinct(self, monkeypatch):
-        bell = bell_phi_minus()
-        plus = np.outer(bell, bell.conj())
-        assert plus[0, 0] == 0.0 and not np.signbit(plus[0, 0].real)
-        minus = plus.copy()
-        minus[0, 0] = complex(-0.0, 0.0)
-        stack = np.stack([plus, minus, plus, minus, minus])
-        seen = self.spy(monkeypatch)
-        c = concurrence(stack)
-        assert [m.tobytes() for m in seen[0]] == [plus.tobytes(), minus.tobytes()]
-        assert np.array_equal(c, [concurrence(m) for m in stack])
 
     def test_nested_stack(self):
         bell_stack = self.fig8_stacks(10.0)[0][:600]
@@ -431,29 +406,60 @@ class TestDistinctMembers:
             concurrence(np.stack([good, bad, good, bad, bad]))
         assert str(err.value) == "density matrix has a negative eigenvalue (-5.000e-01)"
 
-    def test_bell_stack_is_evaluated_on_its_distinct_members(self, monkeypatch):
-        bell_stack = self.fig8_stacks(10.0)[0]
-        seen = self.spy(monkeypatch)
-        concurrence(bell_stack)
-        assert len(seen) == 1
-        distinct = list(dict.fromkeys(m.tobytes() for m in bell_stack))
-        assert [m.tobytes() for m in seen[0]] == distinct
-        assert 2 * len(distinct) < len(bell_stack)
-
     def test_one_evaluation_per_call(self, monkeypatch):
         bell_stack, thermal_stack = self.fig8_stacks(100.0)
-        entered = []
-        public = quantum_channel.concurrence
+        entered, seen = [], []
+        public, check = quantum_channel.concurrence, quantum_channel.validate_density
         monkeypatch.setattr(quantum_channel, "concurrence",
                             lambda rho: entered.append(1) or public(rho))
-        seen = self.spy(monkeypatch)
-        for rho in (bell_stack, thermal_stack, thermal_stack[7], bell_stack[:3]):
+        monkeypatch.setattr(quantum_channel, "validate_density",
+                            lambda rho: seen.append(rho) or check(rho))
+        stacks = (bell_stack, thermal_stack, thermal_stack[7], bell_stack[:3])
+        for rho in stacks:
             quantum_channel.concurrence(rho)
         # never re-entered through its public name, which a tracer would count
         assert len(entered) == 4
-        # a stack without repeats is evaluated as given, not copied
-        assert [m.shape for m in seen] == [(403, 4, 4), (1906, 4, 4), (4, 4), (3, 4, 4)]
-        assert seen[1] is thermal_stack
+        # every stack reaches the evaluator as given, repeats and all, not copied
+        assert len(seen) == 4 and all(a is b for a, b in zip(seen, stacks))
+
+
+class TestPureConcurrence:
+    """The pure-state route 2 |psi00 psi11 - psi01 psi10| of the runner's
+    concurrence column."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def random_states(seed, size):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
+        return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+    def test_schmidt_family(self):
+        # cos a |00> + sin a |11> has concurrence |sin 2a|
+        a = np.linspace(0.0, math.pi, 1001)
+        psi = np.zeros((a.size, 4), dtype=complex)
+        psi[:, 0], psi[:, 3] = np.cos(a), np.sin(a)
+        c = quantum_channel._pure_concurrence(psi)
+        assert c.shape == a.shape
+        assert np.abs(c - np.abs(np.sin(2 * a))).max() <= 1e-15
+
+    def test_agrees_with_wootters_on_random_pure_states(self):
+        # Wootters takes square roots of three spin-flip eigenvalues that are
+        # zero but for rounding; at up to 16 eps each, its own error is at most
+        # 3 sqrt(16 eps) = 1.8e-7 (2e-8 to 6e-8 measured per 2000 states)
+        psi = self.random_states(0, 2000)
+        wootters = concurrence(psi[:, :, None] * psi.conj()[:, None, :])
+        assert np.abs(quantum_channel._pure_concurrence(psi) - wootters).max() \
+            <= 3 * math.sqrt(16 * self.EPS)
+
+    def test_stays_within_its_range(self):
+        psi = np.concatenate([self.random_states(1, 2000), [bell_phi_minus()],
+                              [basis_state("01")]])
+        c = quantum_channel._pure_concurrence(psi)
+        assert c.min() >= 0.0 and c.max() <= 1.0 + 4 * self.EPS
+        # 1/sqrt(2) rounds below itself, so its square is 1/2 - eps/2
+        assert abs(c[-2] - 1.0) <= self.EPS and c[-1] == 0.0
 
 
 def eigvalsh_rule(rho):
