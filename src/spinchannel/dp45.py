@@ -25,8 +25,11 @@ input, the new state and the error ratio by in-place arithmetic on the
 fresh array a ``dot`` returns (``a = A_i.dot(K_i); a *= h; a += y``).  That
 is bit-identical to the allocating form ``y + h * A_i.dot(K_i)``, because
 IEEE multiplication and addition are commutative, and it saves the
-temporaries.  An infinite scale in the initial step-size estimate (a state
-or derivative whose scaled norm overflows) raises FloatingPointError too.
+temporaries.  The FSAL derivative ``f`` of an accepted step is a view of
+the last stage row, not a copy: it stays valid only until the next ``step``
+overwrites that row, so a caller that keeps it must copy it.
+An infinite scale in the initial step-size estimate (a state or derivative
+whose scaled norm overflows) raises FloatingPointError too.
 """
 
 from __future__ import annotations
@@ -92,7 +95,9 @@ class DormandPrince45:
     """Drive with ``step()``; inspect ``t``/``y``; sample with ``interpolate``.
 
     ``err_norm`` is the error norm of the last trial step, accepted or not
-    (None before the first).
+    (None before the first).  After an accepted step ``f`` is a view of the
+    last stage row, valid only until the next ``step``; a caller copies it
+    to keep it.
     """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_end: float, *, tol: float):
@@ -198,7 +203,7 @@ class DormandPrince45:
         self.t_old, self.y_old = t, y
         self.t = t + h
         self.y = y_new
-        self.f = K[6].copy()
+        self.f = K[6]
         self._h_last = h
         self.n_steps += 1
         if err_norm == 0.0:

@@ -261,24 +261,6 @@ def classical_energy(s: HybridState, op: OscParams) -> float:
             + 0.5 * op.D * (s.x1 - s.x2)**2)
 
 
-def _force(op: OscParams, g: float):
-    """The oscillator accelerations (a1, a2) as a function of
-    (t, x1, v1, x2, v2, f1, f2), with the parameters bound once: damped,
-    driven Duffing forces, the linear coupling, and the mean-field
-    back-action -g f_i with f_i = <S_i^z>."""
-    two_gamma, xi, F, Omega, D = 2.0 * op.gamma, op.xi, op.F, op.Omega, op.D
-    w1sq, w2sq = op.omega1**2, op.omega2**2
-
-    def force(t: float, x1: float, v1: float, x2: float, v2: float,
-              f1: float, f2: float) -> tuple[float, float]:
-        drive = F * math.cos(Omega * t)
-        a1 = -two_gamma * v1 - xi * x1**3 + drive - w1sq * x1 - D * (x1 - x2) - g * f1
-        a2 = -two_gamma * v2 - xi * x2**3 + drive - w2sq * x2 + D * (x1 - x2) - g * f2
-        return a1, a2
-
-    return force
-
-
 def separability_defect(U: np.ndarray) -> float | np.ndarray:
     """Frobenius distance of a 4x4 matrix from the nearest Kronecker product
     A (x) B of 2x2 matrices: realigned as R[(i,k),(j,l)] = U[(i,j),(k,l)],
@@ -319,8 +301,12 @@ def _polar_projection(U: np.ndarray, E: np.ndarray, defect: float | None = None
         raise FloatingPointError(f"propagator too far from unitary to project "
                                  f"(unitarity defect {defect:.3e})")
     for _ in range(_POLAR_ITERATIONS):
-        U = U - 0.5 * (U @ E)
-        E = _dagger(U) @ U - _I4
+        if U.ndim == 2:   # one matrix (the per-step guard): no matmul dispatch
+            U = U - 0.5 * U.dot(E)
+            E = U.conj().T.dot(U) - _I4
+        else:
+            U = U - 0.5 * (U @ E)
+            E = _dagger(U) @ U - _I4
         defect = _max_abs(E)
         if defect <= _POLAR_ROUNDING:
             return U
@@ -359,7 +345,9 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
     U, and <S_i> = <psi|S_i|psi> is a real quadratic form u.Q_i u in them.
     One stacked (160, 32) matrix B holds the three maps of ``_spin_maps``
     and Q_1, Q_2, so an evaluation is one B @ u, one (2, 32) @ u and one
-    linear combination of the three maps' images.
+    linear combination of the three maps' images.  The oscillator forces are
+    evaluated inline, with ``tests/oracles.py::_force`` their bit-for-bit
+    reference.
 
     Hot-path rule: the closure owns the 160-real intermediate z = B u and
     its two views, and each call overwrites them (``B.dot(u, out=z)``, the
@@ -373,7 +361,8 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
     lift = _real_form(np.kron(_I4, phi0[None, :]))     # u -> psi, (8, 32)
     B = np.vstack([_spin_maps(sp)] + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
 
-    force = _force(op, g)
+    two_gamma, xi, F, Omega, D = 2.0 * op.gamma, op.xi, op.F, op.Omega, op.D
+    w1sq, w2sq = op.omega1**2, op.omega2**2
     coeffs = np.ones(3)   # [1, g x1, g x2], refilled by each call
     z = np.empty(160)     # B u, overwritten by each call
     images = z[:96].reshape(3, 32)   # the three maps' images of u
@@ -384,10 +373,13 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
         B.dot(u, out=z)
         f1, f2 = quad.dot(u).tolist()
         x1, v1, x2, v2 = y[:4].tolist()
+        drive = F * math.cos(Omega * t)
+        coupling = D * (x1 - x2)
         out = np.empty(36)
         out[0] = v1
+        out[1] = -two_gamma * v1 - xi * x1**3 + drive - w1sq * x1 - coupling - g * f1
         out[2] = v2
-        out[1], out[3] = force(t, x1, v1, x2, v2, f1, f2)
+        out[3] = -two_gamma * v2 - xi * x2**3 + drive - w2sq * x2 + coupling - g * f2
         coeffs[1] = g * x1
         coeffs[2] = g * x2
         coeffs.dot(images, out=out[4:])
@@ -482,27 +474,25 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
     sampling its dense output at every grid time.
 
     Returns the leading reals sampled on the grid, (len(y0) - 32, n), and
-    the sampled U, (n, 4, 4), and psi, (n, 4), after the sample fix-up.
+    the sampled U, (n, 4, 4), and psi, (n, 4), after the sample fix-up; both
+    are split once from one (n, len(y0)) buffer of a row per grid time.
     Failures of the stepping loop other than IntegrationError are re-raised
     as IntegrationError naming the exception class; every IntegrationError
     from the loop leaves with the stepper's t, h and last err_norm.
     """
-    m = y0.size - 32
-    heads = np.empty((m, t_grid.size))
-    Us = np.empty((t_grid.size, 4, 4), dtype=complex)
-    heads[:, 0] = y0[:m]
-    Us[0] = y0[m:].view(complex).reshape(4, 4)
-    if t_grid.size > 1:
+    n, m = t_grid.size, y0.size - 32
+    samples = np.empty((n, y0.size))
+    samples[0] = y0
+    if n > 1:
+        grid = t_grid.tolist()
         stepper = None
         try:
-            stepper = DormandPrince45(rhs, t_grid[0], y0, t_end, tol=tol)
+            stepper = DormandPrince45(rhs, grid[0], y0, t_end, tol=tol)
             k = 1
             while stepper.step():
                 t = stepper.t
-                while k < t_grid.size and t_grid[k] <= t + 1e-12 * max(1.0, abs(t)):
-                    y = stepper.interpolate(t_grid[k])
-                    heads[:, k] = y[:m]
-                    Us[k] = y[m:].view(complex).reshape(4, 4)
+                while k < n and grid[k] <= t + 1e-12 * max(1.0, abs(t)):
+                    samples[k] = stepper.interpolate(grid[k])
                     k += 1
                 y = _guard_step(stepper.y, phi0, diag, tol)
                 if y is not None:
@@ -517,7 +507,8 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
                                    f"{type(exc).__name__}: {exc}", t, h, err_norm) from exc
         diag.n_steps = stepper.n_steps
         diag.n_rejected = stepper.n_rejected
-    return heads, Us, _fix_samples(Us, phi0, t_grid, diag)
+    Us = samples[:, m:].copy().view(complex).reshape(n, 4, 4)
+    return samples[:, :m].T.copy(), Us, _fix_samples(Us, phi0, t_grid, diag)
 
 
 def integrate(initial: HybridState, op: OscParams, sp: SpinParams,

@@ -112,7 +112,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values: list[float]) -> list[RunR
         swept = apply_overrides(cfg, {attr: (float(value),) if attr == "n_values"
                                       else float(value)})
         try:
-            results.append(run_scenario(swept.validate()))
+            results.append(run_scenario(swept))
         except Exception as exc:
             if hasattr(exc, "add_note"):
                 exc.add_note(f"while sweeping {parameter} = {value}")

@@ -4,6 +4,9 @@ No run path calls these; they are kept here, as written when they lived in
 ``spinchannel``, so that each run-path routine is checked against an
 independent formula.  Each oracle and the tests that use it:
 
+    _force                  the oscillator accelerations of ``derivative``, and
+                            test_hybrid_dynamics.py::TestHybridRhsBuffer (the forces
+                            that ``_hybrid_rhs`` evaluates inline, bit for bit)
     site_hamiltonian        test_hybrid_dynamics.py::TestSpinHamiltonian
     build_spin_hamiltonian  test_hybrid_dynamics.py::TestSpinHamiltonian, TestDerivative,
                             TestPropagateNoFeedback
@@ -19,12 +22,13 @@ independent formula.  Each oracle and the tests that use it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from spinchannel.correlators import _check_state, _check_unitary
-from spinchannel.hybrid_dynamics import HybridState, OscParams, _force
+from spinchannel.hybrid_dynamics import HybridState, OscParams
 from spinchannel.quantum_channel import (QuantumChannelParams, h_total, otoc_numeric,
                                          thermal_otoc)
 from spinchannel.spin_algebra import SpinParams, _dagger, embed, expm_hermitian, pauli
@@ -34,6 +38,24 @@ _SZ = pauli("z")
 
 
 # -- the complex equations of motion ------------------------------------------
+
+def _force(op: OscParams, g: float):
+    """The oscillator accelerations (a1, a2) as a function of
+    (t, x1, v1, x2, v2, f1, f2), with the parameters bound once: damped,
+    driven Duffing forces, the linear coupling, and the mean-field
+    back-action -g f_i with f_i = <S_i^z>."""
+    two_gamma, xi, F, Omega, D = 2.0 * op.gamma, op.xi, op.F, op.Omega, op.D
+    w1sq, w2sq = op.omega1**2, op.omega2**2
+
+    def force(t: float, x1: float, v1: float, x2: float, v2: float,
+              f1: float, f2: float) -> tuple[float, float]:
+        drive = F * math.cos(Omega * t)
+        a1 = -two_gamma * v1 - xi * x1**3 + drive - w1sq * x1 - D * (x1 - x2) - g * f1
+        a2 = -two_gamma * v2 - xi * x2**3 + drive - w2sq * x2 + D * (x1 - x2) - g * f2
+        return a1, a2
+
+    return force
+
 
 def site_hamiltonian(x: float, sp: SpinParams) -> np.ndarray:
     """Single-site 2x2 spin Hamiltonian at oscillator displacement x."""

@@ -375,6 +375,14 @@ class TestSweep:
         with pytest.raises(ConfigError, match="ambiguous"):
             sweep(preset_config("fig2"), "omega0", [1.0])
 
+    def test_invalid_value_fails_in_its_run_with_the_value_named(self):
+        # each swept config is validated once, by run_scenario, inside the
+        # try that names the value
+        with pytest.raises(ConfigError, match="K must be finite") as info:
+            sweep(short(preset_config("fig2"), t_end=0.5), "K", [0.5, math.nan])
+        if sys.version_info >= (3, 11):
+            assert info.value.__notes__ == ["while sweeping K = nan"]
+
     def test_order_preserved(self):
         base = short(preset_config("fig2"), t_end=2.0)
         results = sweep(base, "run.tol", [1e-8, 1e-9, 1e-10])

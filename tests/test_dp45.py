@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from spinchannel import preset_config
 from spinchannel.dp45 import (_A, _B, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA,
                               _SAFETY, DormandPrince45, StepSizeUnderflowError)
-from spinchannel.hybrid_dynamics import _hybrid_rhs
+from spinchannel.hybrid_dynamics import IntegrationDiagnostics, _guard_step, _hybrid_rhs
 
 
 def drive(stepper):
@@ -237,7 +237,8 @@ class TestAgainstReference:
 class AllocatingDP45(DormandPrince45):
     """The stepper with the allocating stage sums of the straightforward
     implementation (``y + h * A_i.dot(K[:i])``, ``tol + tol * max(...)``),
-    which the in-place ones must reproduce bit for bit."""
+    and with the FSAL derivative copied out of the stage array, which the
+    in-place sums and the kept stage row must reproduce bit for bit."""
 
     def step(self):
         t, y = self.t, self.y
@@ -285,8 +286,16 @@ class AllocatingDP45(DormandPrince45):
         return True
 
 
-def assert_same_steps(ours, ref, max_steps=None):
-    """Step both in lockstep and require equal bits after every step."""
+def assert_same_state(ours, ref):
+    assert ours.y.tobytes() == ref.y.tobytes()
+    assert ours.f.tobytes() == ref.f.tobytes()
+    assert ours.t == ref.t and ours.h == ref.h and ours.err_norm == ref.err_norm
+    assert ours.n_rejected == ref.n_rejected
+
+
+def assert_same_steps(ours, ref, max_steps=None, after_step=None):
+    """Step both in lockstep and require equal bits after every step, and
+    again after ``after_step(stepper)``, if given, has run on each."""
     n = 0
     while max_steps is None or n < max_steps:
         more = ours.step()
@@ -294,10 +303,11 @@ def assert_same_steps(ours, ref, max_steps=None):
         if not more:
             break
         n += 1
-        assert np.array_equal(ours.y, ref.y)
-        assert np.array_equal(ours.f, ref.f)
-        assert ours.t == ref.t and ours.h == ref.h and ours.err_norm == ref.err_norm
-        assert ours.n_rejected == ref.n_rejected
+        assert_same_state(ours, ref)
+        if after_step is not None:
+            after_step(ours)
+            after_step(ref)
+            assert_same_state(ours, ref)
     return n
 
 
@@ -314,10 +324,26 @@ class TestInPlaceStageSums:
         assert ref.n_rejected >= 2 and ref.t == 3.0
 
     def test_fig2_hybrid_rhs(self):
+        # the whole fig2 run to t_end 20 under the accepted-step guard of
+        # _propagate: the FSAL derivative kept as the stage row must give the
+        # bits of a copied one across the steps that project and refresh it
         cfg = preset_config("fig2")
         op, sp, psi0 = cfg.osc_params(), cfg.spin_params(), cfg.initial_spin_state()
         y0 = np.concatenate(([cfg.x1, cfg.v1, cfg.x2, cfg.v2],
                              np.eye(4, dtype=complex).reshape(-1).view(float)))
-        ours, ref = (cls(_hybrid_rhs(op, sp, psi0), 0.0, y0, cfg.t_end, tol=cfg.tol)
+        ours, ref = (cls(_hybrid_rhs(op, sp, psi0), 0.0, y0, 20.0, tol=cfg.tol)
                      for cls in (DormandPrince45, AllocatingDP45))
-        assert assert_same_steps(ours, ref, max_steps=300) == 300
+        diags = {ours: IntegrationDiagnostics(), ref: IntegrationDiagnostics()}
+        projected = {ours: 0, ref: 0}
+
+        def guard(stepper):
+            y = _guard_step(stepper.y, psi0, diags[stepper], cfg.tol)
+            if y is not None:
+                stepper.replace_state(y)
+                projected[stepper] += 1
+
+        steps = assert_same_steps(ours, ref, after_step=guard)
+        assert ours.t == ref.t == 20.0
+        assert diags[ours] == diags[ref]
+        assert projected[ours] == projected[ref]
+        assert 0 < projected[ours] < steps

@@ -11,7 +11,7 @@ from spinchannel.correlators import otoc_product
 from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState,
                                          IntegrationDiagnostics, IntegrationError,
                                          OscParams, Regime, RegimeError, _coupling_operators,
-                                         _force, _guard_step, _hybrid_rhs, _polar_projection,
+                                         _guard_step, _hybrid_rhs, _polar_projection,
                                          _real_form, _spin_maps, classical_energy,
                                          energy_budget, integrate, propagate_nofeedback,
                                          separability_defect)
@@ -19,7 +19,7 @@ from spinchannel.runner import run_scenario
 from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
                                       expm_hermitian, pauli)
 
-from oracles import build_spin_hamiltonian, derivative, site_hamiltonian
+from oracles import _force, build_spin_hamiltonian, derivative, site_hamiltonian
 
 SP = SpinParams(omega0=1.5, g=1.0, alpha=math.pi / 3)
 PSI01 = basis_state("01")
@@ -255,6 +255,19 @@ class TestPolarProjection:
             P = _polar_projection(U, gram(U) - np.eye(4))
             assert np.abs(P - svd_polar(U)).max() <= 1e-14
             assert np.abs(gram(P) - np.eye(4)).max() <= RENORM_THRESHOLD
+
+    @pytest.mark.parametrize("defect", [1e-11, 1e-9, 1e-6])
+    def test_single_matrix_gives_the_bytes_of_a_stack_of_one(self, defect):
+        # one matrix (the per-step guard) takes ndarray.dot, a stack (the
+        # sample fix-up) takes @; the two paths must agree bit for bit
+        rng = np.random.default_rng(int(-math.log10(defect)) + 100)
+        for _ in range(20):
+            U = near_unitary(rng, defect)
+            E = gram(U) - np.eye(4)
+            single = _polar_projection(U, E)
+            stacked = _polar_projection(U[None], E[None])
+            assert single.shape == (4, 4) and stacked.shape == (1, 4, 4)
+            assert single.tobytes() == stacked[0].tobytes()
 
     def test_stack_matches_svd(self):
         rng = np.random.default_rng(5)
