@@ -20,14 +20,28 @@ scales linearly with the tolerance, and halving it halves the endpoint
 defect (measured ratio ~2.22 on a hybrid run over t in [0, 100] at
 tol = 1e-8; acceptance criterion 7d holds it within [1.8, 2.3]).
 
-Hot-path rule: ``step`` runs once per accepted step, so it forms each stage
-input, the new state and the error ratio by in-place arithmetic on the
-fresh array a ``dot`` returns (``a = A_i.dot(K_i); a *= h; a += y``).  That
-is bit-identical to the allocating form ``y + h * A_i.dot(K_i)``, because
-IEEE multiplication and addition are commutative, and it saves the
-temporaries.  The FSAL derivative ``f`` of an accepted step is a view of
-the last stage row, not a copy: it stays valid only until the next ``step``
-overwrites that row, so a caller that keeps it must copy it.
+Right-hand-side contract: ``fun(t, y, out)`` writes dy/dt at (t, y) into
+``out``, a float array of y's shape, and returns nothing.  The stepper owns
+every buffer it passes: ``out`` is one of its stage rows, or a fresh array
+in the constructor, the initial step-size estimate and ``replace_state``,
+and ``out`` never shares memory with ``y``.  ``fun`` must keep neither
+array: the stepper overwrites both on later calls.
+
+Hot-path rule: ``step`` runs once per accepted step, so it reuses buffers
+it owns.  Each stage derivative is written straight into its row of the
+stage matrix K, each stage input is formed in one stepper-owned vector,
+``A_i.dot(K_i, a); a *= h; a += y``, by in-place arithmetic on the ``dot``
+result, and the error estimate in another; the new state is a fresh array,
+because it becomes the state.  That is bit-identical to the allocating form
+``y + h * A_i.dot(K_i)``, because IEEE multiplication and addition are
+commutative and ``dot`` into ``out`` is the same BLAS product, and it saves
+the temporaries and the copy of each returned derivative into K.  The FSAL
+derivative ``f`` of an accepted step is a view of the last stage row, not a
+copy: it stays valid only until the next ``step`` overwrites that row, so a
+caller that keeps it must copy it.  ``replace_state`` refreshes ``f`` into
+a fresh array, so the stage rows, and with them the dense output of the
+last step, survive it.  The dense-output coefficients K^T P of a step are
+formed by its first ``interpolate`` and reused by the others.
 An infinite scale in the initial step-size estimate (a state or derivative
 whose scaled norm overflows) raises FloatingPointError too.
 """
@@ -94,6 +108,9 @@ class StepSizeUnderflowError(RuntimeError):
 class DormandPrince45:
     """Drive with ``step()``; inspect ``t``/``y``; sample with ``interpolate``.
 
+    ``fun(t, y, out)`` writes the derivative into ``out`` and keeps neither
+    array (the module docstring has the contract); a two-argument ``fun``
+    fails here with TypeError.
     ``err_norm`` is the error norm of the last trial step, accepted or not
     (None before the first).  After an accepted step ``f`` is a view of the
     last stage row, valid only until the next ``step``; a caller copies it
@@ -108,14 +125,19 @@ class DormandPrince45:
         self.y = np.asarray(y0, dtype=float).copy()
         self.t_end = float(t_end)
         self.tol = float(tol)
-        self.f = np.asarray(fun(self.t, self.y), dtype=float)
+        self.f = np.empty_like(self.y)
+        fun(self.t, self.y, self.f)
         self.n_steps = 0
         self.n_rejected = 0
         self.t_old = self.t
         self.y_old = self.y.copy()
         self._K = np.empty((7, self.y.size))
-        # the stages before each one, as row-prefix views of K
+        # the stages before each one, as row-prefix views of K, and each row
         self._K_prefix = [self._K[:i] for i in range(7)]
+        self._K_rows = list(self._K)
+        self._a = np.empty(self.y.size)   # the stage input, formed in place
+        self._r = np.empty(self.y.size)   # the scaled error estimate
+        self._KtP = None                  # K^T P of the last step, once sampled
         self._h_last = 0.0
         self._err_prev = 1.0
         self.err_norm = None
@@ -135,7 +157,8 @@ class DormandPrince45:
         self._check_scale("first-derivative scale d1", d1)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         y1 = self.y + h0 * self.f
-        f1 = np.asarray(self.fun(self.t + h0, y1), dtype=float)
+        f1 = np.empty_like(y1)
+        self.fun(self.t + h0, y1, f1)
         with np.errstate(all="ignore"):
             d2 = math.sqrt(np.mean(((f1 - self.f) / sc) ** 2)) / h0
         self._check_scale("second-derivative scale d2", d2)
@@ -162,9 +185,10 @@ class DormandPrince45:
         t, y = self.t, self.y
         if t >= self.t_end:
             return False
-        K, K_prefix = self._K, self._K_prefix
+        K, K_prefix, K_rows, a, r = self._K, self._K_prefix, self._K_rows, self._a, self._r
         fun, t_end, tol = self.fun, self.t_end, self.tol
         abs_y = np.abs(y)
+        self._KtP = None
         K[0] = self.f
         while True:
             h = self._h
@@ -174,21 +198,21 @@ class DormandPrince45:
                 raise FloatingPointError(f"non-finite step size {h!r} at t = {t!r}")
             if h < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError(t, h, self.err_norm)
-            # y + h (A_i . K[:i]), in place on the fresh dot result
+            # y + h (A_i . K[:i]), in place in a; the derivative into K[i]
             for i in range(1, 6):
-                a = _A[i].dot(K_prefix[i])
+                _A[i].dot(K_prefix[i], a)
                 a *= h
                 a += y
-                K[i] = fun(t + _C[i] * h, a)
+                fun(t + _C[i] * h, a, K_rows[i])
             y_new = _B.dot(K_prefix[6])
             y_new *= h
             y_new += y
-            K[6] = fun(t + h, y_new)
+            fun(t + h, y_new, K_rows[6])
             # (E . K) / (tol + tol max(|y|, |y_new|))
             sc = np.maximum(abs_y, np.abs(y_new))
             sc *= tol
             sc += tol
-            r = _E.dot(K)
+            _E.dot(K, r)
             r /= sc
             err_norm = h * math.sqrt(r.dot(r) / r.size)
             self.err_norm = err_norm
@@ -203,7 +227,7 @@ class DormandPrince45:
         self.t_old, self.y_old = t, y
         self.t = t + h
         self.y = y_new
-        self.f = K[6]
+        self.f = K_rows[6]
         self._h_last = h
         self.n_steps += 1
         if err_norm == 0.0:
@@ -218,11 +242,20 @@ class DormandPrince45:
         """Dense output inside the last accepted step [t_old, t]."""
         if self._h_last == 0.0:
             return self.y.copy()
+        KtP = self._KtP
+        if KtP is None:
+            KtP = self._KtP = self._K.T.dot(_P)
         theta = (t - self.t_old) / self._h_last
         p = np.array([theta, theta**2, theta**3, theta**4])
-        return self.y_old + self._h_last * self._K.T.dot(_P).dot(p)
+        return self.y_old + self._h_last * KtP.dot(p)
 
     def replace_state(self, y: np.ndarray) -> None:
-        """Substitute a corrected current state; refreshes the FSAL derivative."""
-        self.y = np.asarray(y, dtype=float).copy()
-        self.f = np.asarray(self.fun(self.t, self.y), dtype=float)
+        """Substitute a corrected current state; refreshes the FSAL derivative.
+
+        A float ``y`` is kept, not copied, so the caller no longer modifies
+        it.  The derivative goes into a fresh array, which leaves the stage
+        rows, and the dense output of the last step, as they are.
+        """
+        self.y = np.asarray(y, dtype=float)
+        self.f = np.empty_like(self.y)
+        self.fun(self.t, self.y, self.f)

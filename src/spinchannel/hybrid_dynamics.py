@@ -350,11 +350,12 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
     reference.
 
     Hot-path rule: the closure owns the 160-real intermediate z = B u and
-    its two views, and each call overwrites them (``B.dot(u, out=z)``, the
-    same BLAS product as the allocating ``B.dot(u)``).  The derivative it
-    returns is a fresh array on every call, because the stepper keeps
-    earlier results (its FSAL derivative, its stages) alive.  The buffer
-    belongs to this one closure, so each run has its own.
+    its two views, and each call overwrites them (``B.dot(u, z)``, the same
+    BLAS product as the allocating ``B.dot(u)``).  It writes the derivative
+    into the caller's ``out`` (``DormandPrince45``'s contract: a stage row
+    the stepper owns, never sharing memory with ``y``) and keeps neither
+    ``y`` nor ``out``.  The buffer belongs to this one closure, so each run
+    has its own.
     """
     g = sp.g
     S1, S2, _ = _coupling_operators(sp)
@@ -368,22 +369,34 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
     images = z[:96].reshape(3, 32)   # the three maps' images of u
     quad = z[96:].reshape(2, 32)     # Q_1 u, Q_2 u
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: np.ndarray, out: np.ndarray) -> None:
         u = y[4:]
-        B.dot(u, out=z)
+        B.dot(u, z)
         f1, f2 = quad.dot(u).tolist()
         x1, v1, x2, v2 = y[:4].tolist()
         drive = F * math.cos(Omega * t)
         coupling = D * (x1 - x2)
-        out = np.empty(36)
         out[0] = v1
         out[1] = -two_gamma * v1 - xi * x1**3 + drive - w1sq * x1 - coupling - g * f1
         out[2] = v2
         out[3] = -two_gamma * v2 - xi * x2**3 + drive - w2sq * x2 + coupling - g * f2
         coeffs[1] = g * x1
         coeffs[2] = g * x2
-        coeffs.dot(images, out=out[4:])
-        return out
+        coeffs.dot(images, out[4:])
+
+    return rhs
+
+
+def _nofeedback_rhs(traj: Callable[[float], tuple[float, float]], sp: SpinParams):
+    """Right-hand side of the 32 reals u of U under a prescribed trajectory:
+    dU/dt = [1, g x1, g x2] @ (maps @ u).reshape(3, 32), written into the
+    caller's ``out`` as ``_hybrid_rhs`` writes its own."""
+    maps = _spin_maps(sp)
+    g = sp.g
+
+    def rhs(t: float, u: np.ndarray, out: np.ndarray) -> None:
+        x1, x2 = traj(t)
+        np.array([1.0, g * x1, g * x2]).dot(maps.dot(u).reshape(3, 32), out)
 
     return rhs
 
@@ -581,15 +594,9 @@ def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinP
         raise ValueError(f"t_end must be positive, got {t_end}")
     psi0 = _checked_state(psi0, tol)
     t_grid = _time_grid(0.0, t_end, dt_out)
-    maps = _spin_maps(sp)
-    g = sp.g
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        x1, x2 = traj(t)
-        return np.array([1.0, g * x1, g * x2]).dot(maps.dot(u).reshape(3, 32))
-
     diag = IntegrationDiagnostics()
-    _, _, psis = _propagate(rhs, _I4.reshape(-1).view(float), t_grid, t_end, tol, psi0, diag)
+    _, _, psis = _propagate(_nofeedback_rhs(traj, sp), _I4.reshape(-1).view(float), t_grid,
+                            t_end, tol, psi0, diag)
     return CoefficientSeries(t=t_grid, coefficients=psis, max_norm_drift=diag.max_step_norm_drift)
 
 

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from spinchannel import preset_config
-from spinchannel.dp45 import (_A, _B, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA,
-                              _SAFETY, DormandPrince45, StepSizeUnderflowError)
-from spinchannel.hybrid_dynamics import IntegrationDiagnostics, _guard_step, _hybrid_rhs
+from spinchannel import hybrid_dynamics, preset_config, runner
+from spinchannel.dp45 import (_A, _B, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _P, _PI_ALPHA,
+                              _PI_BETA, _SAFETY, DormandPrince45, StepSizeUnderflowError)
+from spinchannel.hybrid_dynamics import (IntegrationDiagnostics, _guard_step, _hybrid_rhs,
+                                         _nofeedback_rhs, _spin_maps)
 
 
 def drive(stepper):
@@ -18,13 +20,14 @@ def drive(stepper):
 
 class TestBasics:
     def test_exponential_decay(self):
-        s = DormandPrince45(lambda t, y: -y, 0.0, np.array([1.0]), 5.0, tol=1e-10)
+        s = DormandPrince45(lambda t, y, out: np.negative(y, out=out), 0.0, np.array([1.0]),
+                            5.0, tol=1e-10)
         drive(s)
         assert s.y[0] == pytest.approx(np.exp(-5.0), abs=1e-9)
         assert s.t == 5.0
 
     def test_harmonic_oscillator_long_run(self):
-        f = lambda t, y: np.array([y[1], -y[0]])
+        f = lambda t, y, out: np.copyto(out, (y[1], -y[0]))
         s = DormandPrince45(f, 0.0, np.array([1.0, 0.0]), 50.0, tol=1e-11)
         drive(s)
         assert s.y[0] == pytest.approx(np.cos(50.0), abs=1e-8)
@@ -33,10 +36,11 @@ class TestBasics:
     @pytest.mark.parametrize("t_end", [0.0, -3.0, math.nan])
     def test_forward_only(self, t_end):
         with pytest.raises(ValueError, match="must exceed t0"):
-            DormandPrince45(lambda t, y: -y, 0.0, np.array([1.0]), t_end, tol=1e-10)
+            DormandPrince45(lambda t, y, out: np.negative(y, out=out), 0.0, np.array([1.0]),
+                            t_end, tol=1e-10)
 
     def test_lands_exactly_on_t_end(self):
-        s = DormandPrince45(lambda t, y: np.array([np.cos(t)]), 0.0,
+        s = DormandPrince45(lambda t, y, out: np.copyto(out, np.cos(t)), 0.0,
                             np.array([0.0]), 7.3, tol=1e-9)
         drive(s)
         assert s.t == 7.3
@@ -44,7 +48,7 @@ class TestBasics:
 
 class TestDenseOutput:
     def test_interpolant_accuracy(self):
-        f = lambda t, y: np.array([y[1], -y[0]])
+        f = lambda t, y, out: np.copyto(out, (y[1], -y[0]))
         s = DormandPrince45(f, 0.0, np.array([1.0, 0.0]), 10.0, tol=1e-9)
         worst = 0.0
         while s.step():
@@ -54,7 +58,8 @@ class TestDenseOutput:
         assert worst < 1e-8
 
     def test_interpolant_endpoint_consistency(self):
-        s = DormandPrince45(lambda t, y: -y, 0.0, np.array([1.0]), 2.0, tol=1e-8)
+        s = DormandPrince45(lambda t, y, out: np.negative(y, out=out), 0.0, np.array([1.0]),
+                            2.0, tol=1e-8)
         s.step()
         assert np.allclose(s.interpolate(s.t), s.y, atol=1e-15)
         assert np.allclose(s.interpolate(s.t_old), s.y_old, atol=1e-15)
@@ -66,14 +71,15 @@ class TestAgainstScipy:
         def f(t, y):
             return np.array([y[1], -0.1 * y[1] - y[0] - y[0] ** 3 + 0.4 * np.cos(0.9 * t)])
         y0 = np.array([0.5, 0.0])
-        ours = drive(DormandPrince45(f, 0.0, y0, 30.0, tol=1e-11)).y
+        ours = drive(DormandPrince45(lambda t, y, out: np.copyto(out, f(t, y)), 0.0, y0, 30.0,
+                                     tol=1e-11)).y
         ref = solve_ivp(f, [0, 30.0], y0, method="RK45", rtol=1e-11, atol=1e-12).y[:, -1]
         assert np.abs(ours - ref).max() < 1e-7
 
 
 class TestControl:
     def test_tightening_tol_reduces_error(self):
-        f = lambda t, y: np.array([y[1], -y[0]])
+        f = lambda t, y, out: np.copyto(out, (y[1], -y[0]))
         errs = []
         for tol in (1e-6, 1e-8, 1e-10):
             s = drive(DormandPrince45(f, 0.0, np.array([1.0, 0.0]), 20.0, tol=tol))
@@ -82,7 +88,8 @@ class TestControl:
 
     def test_step_size_underflow_reports_time(self):
         # finite-time blow-up: y' = y^2 diverges at t = 1
-        s = DormandPrince45(lambda t, y: y**2, 0.0, np.array([1.0]), 2.0, tol=1e-9)
+        s = DormandPrince45(lambda t, y, out: np.square(y, out=out), 0.0, np.array([1.0]),
+                            2.0, tol=1e-9)
         with pytest.raises(StepSizeUnderflowError) as err:
             drive(s)
         assert 0.99 < err.value.t <= 1.01
@@ -91,7 +98,8 @@ class TestControl:
         assert math.isfinite(err.value.err_norm) and err.value.err_norm == s.err_norm
 
     def test_error_norm_of_the_last_trial(self):
-        s = DormandPrince45(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, tol=1e-9)
+        s = DormandPrince45(lambda t, y, out: np.negative(y, out=out), 0.0, np.array([1.0]),
+                            1.0, tol=1e-9)
         assert s.err_norm is None
         assert s.step()
         assert 0.0 <= s.err_norm <= 1.0
@@ -100,11 +108,12 @@ class TestControl:
     def test_non_finite_state_raises(self, y0):
         # NaN never passes the acceptance test, so an unguarded step() retries forever
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            drive(DormandPrince45(lambda t, y: -y, 0.0, np.array([y0]), 1.0, tol=1e-9))
+            drive(DormandPrince45(lambda t, y, out: np.negative(y, out=out), 0.0,
+                                  np.array([y0]), 1.0, tol=1e-9))
 
     @pytest.mark.parametrize("scale, rhs", [
-        ("first-derivative scale d1", lambda t, y: np.array([1e300])),
-        ("second-derivative scale d2", lambda t, y: np.array([1e300 * t + 1.0])),
+        ("first-derivative scale d1", lambda t, y, out: np.copyto(out, 1e300)),
+        ("second-derivative scale d2", lambda t, y, out: np.copyto(out, 1e300 * t + 1.0)),
     ])
     def test_overflowing_initial_step_estimate_raises(self, scale, rhs):
         # a scaled norm that overflows used to leave h0 = 0 and a division by
@@ -114,8 +123,8 @@ class TestControl:
 
     def test_rejections_are_counted(self):
         # drive frequency kick forces at least some rejected trials
-        def f(t, y):
-            return np.array([np.cos(40.0 * t) * 40.0])
+        def f(t, y, out):
+            out[0] = np.cos(40.0 * t) * 40.0
         s = drive(DormandPrince45(f, 0.0, np.array([0.0]), 5.0, tol=1e-9))
         assert s.n_steps > 50
         assert s.y[0] == pytest.approx(np.sin(200.0), abs=1e-7)
@@ -124,8 +133,8 @@ class TestControl:
 class TestReplaceState:
     def test_renormalization_hook(self):
         # complex rotation packed as two reals; keep the norm pinned to 1
-        def f(t, y):
-            return np.array([-y[1], y[0]])
+        def f(t, y, out):
+            out[:] = -y[1], y[0]
         s = DormandPrince45(f, 0.0, np.array([1.0, 0.0]), 20.0, tol=1e-8)
         while s.step():
             n = np.hypot(*s.y)
@@ -156,9 +165,9 @@ class ReferenceDP45(DormandPrince45):
                 h = self.t_end - t
             K[0] = self.f
             for i in range(1, 6):
-                K[i] = self.fun(t + _C[i] * h, y + h * (K[:i].T @ _A[i]))
+                self.fun(t + _C[i] * h, y + h * (K[:i].T @ _A[i]), K[i])
             y_new = y + h * (K[:6].T @ _B)
-            K[6] = self.fun(t + h, y_new)
+            self.fun(t + h, y_new, K[6])
             err = h * (K.T @ _E)
             scale = self.tol + self.tol * np.maximum(np.abs(y), np.abs(y_new))
             err_norm = math.sqrt(np.mean((err / scale) ** 2))
@@ -180,8 +189,8 @@ class ReferenceDP45(DormandPrince45):
         return True
 
 
-def six_oscillators(t, y):
-    return np.concatenate((y[6:], -np.linspace(5.0, 20.0, 6) ** 2 * y[:6]))
+def six_oscillators(t, y, out):
+    np.concatenate((y[6:], -np.linspace(5.0, 20.0, 6) ** 2 * y[:6]), out=out)
 
 
 SIX_Y0 = np.concatenate((np.linspace(1.0, 0.5, 6), np.zeros(6)))
@@ -234,11 +243,22 @@ class TestAgainstReference:
         assert decisions[0][:n] == decisions[1][:n]
 
 
+def allocated(fun, t, y):
+    """fun(t, y, out) evaluated into an output allocated for this one call."""
+    out = np.empty_like(y)
+    fun(t, y, out)
+    return out
+
+
 class AllocatingDP45(DormandPrince45):
-    """The stepper with the allocating stage sums of the straightforward
-    implementation (``y + h * A_i.dot(K[:i])``, ``tol + tol * max(...)``),
-    and with the FSAL derivative copied out of the stage array, which the
-    in-place sums and the kept stage row must reproduce bit for bit."""
+    """The stepper of the straightforward implementation: every stage
+    derivative goes into a fresh output that is then copied into the stage
+    array, the stage sums allocate (``y + h * A_i.dot(K[:i])``,
+    ``tol + tol * max(...)``), the FSAL derivative is copied out of the
+    stage array, ``replace_state`` copies its state, and ``interpolate``
+    forms K^T P at every sample.  The stage rows written by the rhs, the
+    stage-input buffer, the kept stage row and the cached K^T P of
+    ``DormandPrince45`` must reproduce it bit for bit."""
 
     def step(self):
         t, y = self.t, self.y
@@ -257,9 +277,9 @@ class AllocatingDP45(DormandPrince45):
             if h < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError(t, h, self.err_norm)
             for i in range(1, 6):
-                K[i] = fun(t + _C[i] * h, y + h * _A[i].dot(K[:i]))
+                K[i] = allocated(fun, t + _C[i] * h, y + h * _A[i].dot(K[:i]))
             y_new = y + h * _B.dot(K[:6])
-            K[6] = fun(t + h, y_new)
+            K[6] = allocated(fun, t + h, y_new)
             r = _E.dot(K) / (tol + tol * np.maximum(abs_y, np.abs(y_new)))
             err_norm = h * math.sqrt(r.dot(r) / r.size)
             self.err_norm = err_norm
@@ -284,6 +304,17 @@ class AllocatingDP45(DormandPrince45):
         self._err_prev = max(err_norm, 1e-4)
         self._h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         return True
+
+    def interpolate(self, t):
+        if self._h_last == 0.0:
+            return self.y.copy()
+        theta = (t - self.t_old) / self._h_last
+        p = np.array([theta, theta**2, theta**3, theta**4])
+        return self.y_old + self._h_last * self._K.T.dot(_P).dot(p)
+
+    def replace_state(self, y):
+        self.y = np.asarray(y, dtype=float).copy()
+        self.f = allocated(self.fun, self.t, self.y)
 
 
 def assert_same_state(ours, ref):
@@ -347,3 +378,102 @@ class TestInPlaceStageSums:
         assert diags[ours] == diags[ref]
         assert projected[ours] == projected[ref]
         assert 0 < projected[ours] < steps
+
+    def test_nofeedback_rhs(self):
+        # propagate_nofeedback's rhs, written into the stage rows, against the
+        # allocating expression it replaced, under the same guard
+        cfg = preset_config("fig2")
+        sp, psi0, tol = cfg.spin_params(), cfg.initial_spin_state(), cfg.tol
+        maps, g = _spin_maps(sp), sp.g
+
+        def traj(t):
+            return math.cos(1.3 * t), 0.5 * math.sin(0.7 * t)
+
+        def allocating(t, u, out):
+            x1, x2 = traj(t)
+            out[:] = np.array([1.0, g * x1, g * x2]).dot(maps.dot(u).reshape(3, 32))
+
+        u0 = np.eye(4, dtype=complex).reshape(-1).view(float)
+        ours = DormandPrince45(_nofeedback_rhs(traj, sp), 0.0, u0, 20.0, tol=tol)
+        ref = AllocatingDP45(allocating, 0.0, u0, 20.0, tol=tol)
+        diags = {ours: IntegrationDiagnostics(), ref: IntegrationDiagnostics()}
+        projected = {ours: 0, ref: 0}
+
+        def guard(stepper):
+            y = _guard_step(stepper.y, psi0, diags[stepper], tol)
+            if y is not None:
+                stepper.replace_state(y)
+                projected[stepper] += 1
+
+        steps = assert_same_steps(ours, ref, after_step=guard)
+        assert ours.t == ref.t == 20.0
+        assert diags[ours] == diags[ref]
+        assert projected[ours] == projected[ref]
+        assert 0 < projected[ours] < steps
+
+
+def fig2_stepper():
+    cfg = preset_config("fig2")
+    op, sp, psi0 = cfg.osc_params(), cfg.spin_params(), cfg.initial_spin_state()
+    y0 = np.concatenate(([cfg.x1, cfg.v1, cfg.x2, cfg.v2],
+                         np.eye(4, dtype=complex).reshape(-1).view(float)))
+    return DormandPrince45(_hybrid_rhs(op, sp, psi0), 0.0, y0, 20.0, tol=cfg.tol)
+
+
+class TestBufferOwnership:
+    """The stepper owns every buffer it hands the rhs: ``out`` never shares
+    memory with ``y``, a refreshed FSAL derivative leaves the stage rows
+    alone, and the rhs has one calling convention."""
+
+    def test_out_never_shares_memory_with_y(self, monkeypatch):
+        calls, shared = [0], []
+        make_rhs = hybrid_dynamics._hybrid_rhs
+
+        def spied(*args):
+            rhs = make_rhs(*args)
+
+            def spy(t, y, out):
+                calls[0] += 1
+                if np.shares_memory(y, out):
+                    shared.append(t)
+                rhs(t, y, out)
+
+            return spy
+
+        monkeypatch.setattr(hybrid_dynamics, "_hybrid_rhs", spied)
+        result = runner.run_scenario(preset_config("fig2"))
+        steps = result.diagnostics["n_steps"]
+        assert calls[0] > 6 * steps > 0
+        assert shared == []
+
+    def test_interpolate_survives_replace_state(self):
+        # two steppers in lockstep: one samples the step before its state is
+        # replaced, the other only after
+        before, after = fig2_stepper(), fig2_stepper()
+        for _ in range(40):
+            assert before.step() and after.step()
+            t_mid = 0.5 * (before.t_old + before.t)
+            sampled = before.interpolate(t_mid).tobytes()
+            for s in (before, after):
+                s.replace_state(s.y * (1.0 + 2.0 ** -30))
+            assert after.interpolate(t_mid).tobytes() == sampled
+            assert before.interpolate(t_mid).tobytes() == sampled
+
+    def test_two_argument_rhs_fails_at_construction(self):
+        with pytest.raises(TypeError):
+            DormandPrince45(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, tol=1e-9)
+
+
+class TestDenseOutputProduct:
+    def test_fig2_samples_at_dt_out_0_01(self, monkeypatch):
+        # several samples per step: K^T P formed once per step gives the bytes
+        # of the product formed at every sample
+        cfg = dataclasses.replace(preset_config("fig2"), dt_out=0.01)
+        ours = runner.run_scenario(cfg)
+        monkeypatch.setattr(hybrid_dynamics, "DormandPrince45", AllocatingDP45)
+        ref = runner.run_scenario(cfg)
+        assert len(ours.series) > 3 * ours.diagnostics["n_steps"]
+        assert ours.diagnostics == ref.diagnostics
+        for name, value in vars(ours.series).items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(ref.series, name).tobytes(), name
