@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .config import (ConfigError, PRESETS, ScenarioConfig, apply_overrides, parse_config,
                      preset_config, preset_names, resolve_field)
-from .hybrid_dynamics import IntegrationError, RegimeError
+from .hybrid_dynamics import IntegrationError
 from .runner import run_scenario, sweep, write_output
 
 EXIT_OK = 0
@@ -59,11 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_set(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
-    """cfg with every --set KEY=VALUE applied at once, so that K and D (or T
-    and beta) given together are both kept."""
+def _overrides(args) -> dict[str, object]:
+    """Every --set KEY=VALUE, then the --tol, --t-end, --format and --out
+    flags, as one overrides dict: K and D (or T and beta) given together are
+    both kept, and a flag wins over --set for the same field."""
     overrides = {}
-    for assignment in assignments:
+    for assignment in args.overrides:
         if "=" not in assignment:
             raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
         key, value = (part.strip() for part in assignment.split("=", 1))
@@ -72,7 +72,10 @@ def _apply_set(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
             overrides[attr] = caster(value)
         except ConfigError as exc:
             raise ConfigError(f"--set {key}: {exc}") from None
-    return apply_overrides(cfg, overrides)
+    flags = {"tol": args.tol, "t_end": args.t_end, "out_format": args.format,
+             "out_path": args.out}
+    overrides.update((attr, value) for attr, value in flags.items() if value is not None)
+    return overrides
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -89,16 +92,7 @@ def _load_config(args) -> ScenarioConfig:
         cfg = preset_config(args.scenario)
     else:
         raise ConfigError("one of --scenario or --config is required")
-    cfg = _apply_set(cfg, args.overrides)
-    if args.tol is not None:
-        cfg = replace(cfg, tol=args.tol)
-    if args.t_end is not None:
-        cfg = replace(cfg, t_end=args.t_end)
-    if args.format is not None:
-        cfg = replace(cfg, out_format=args.format)
-    if args.out is not None:
-        cfg = replace(cfg, out_path=args.out)
-    return cfg.validate()
+    return apply_overrides(cfg, _overrides(args)).validate()
 
 
 class _IOFailure(RuntimeError):
@@ -181,8 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_presets(args)
-    except (ConfigError, RegimeError) as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
     except IntegrationError as exc:
         return _fail("integration", str(exc), EXIT_INTEGRATION, t=exc.t, h=exc.h,
                      err_norm=exc.err_norm)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .hybrid_dynamics import OscParams, Regime, RegimeError
+from .hybrid_dynamics import OscParams, Regime, RegimeError, _grid_intervals
 from .quantum_channel import QuantumChannelParams
-from .spin_algebra import SpinParams, basis_state, bell_phi_minus
+from .spin_algebra import BASIS_LABELS, SpinParams, basis_state, bell_phi_minus
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "render_config",
            "resolve_field", "apply_overrides", "PRESETS", "preset_names",
@@ -26,6 +26,11 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "render_config",
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
+
+
+# Output rows a run may ask for (grid times, times a quantum run's photon numbers).
+# A fig2 run peaks at 1965 traced bytes per row (tracemalloc, dt_out 0.05 vs 0.005): ~2 GB.
+MAX_OUTPUT_ROWS = 1_000_000
 
 
 def _float(text: str) -> float:
@@ -42,13 +47,9 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(_float(part) for part in text.split(","))
 
 
-def _str(text: str) -> str:
-    return text
-
-
 # section -> key -> (ScenarioConfig attribute, caster)
 SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "scenario": {"name": ("name", _str), "kind": ("kind", _str)},
+    "scenario": {"name": ("name", str), "kind": ("kind", str)},
     "spin": {
         "omega0": ("spin_omega0", _float),
         "g": ("spin_g", _float),
@@ -73,7 +74,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "beta": ("beta", _float),
     },
     "initial": {
-        "state": ("state", _str),
+        "state": ("state", str),
         "amplitudes": ("amplitudes", _float_list),
         "x1": ("x1", _float),
         "v1": ("v1", _float),
@@ -85,7 +86,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "dt_out": ("dt_out", _float),
         "tol": ("tol", _float),
     },
-    "output": {"path": ("out_path", _str), "format": ("out_format", _str)},
+    "output": {"path": ("out_path", str), "format": ("out_format", str)},
 }
 
 
@@ -200,11 +201,9 @@ class ScenarioConfig:
                                     g=self.q_g, n=n, beta=beta)
 
     def initial_spin_state(self) -> np.ndarray:
-        if self.state == "01":
-            return basis_state("01")
         if self.state == "phi_minus":
             return bell_phi_minus()
-        if self.state in ("00", "10", "11"):
+        if self.state in BASIS_LABELS:
             return basis_state(self.state)
         if self.state == "custom":
             if self.amplitudes is None or len(self.amplitudes) != 8:
@@ -212,7 +211,8 @@ class ScenarioConfig:
                                   "(Re, Im for each of C1..C4)")
             a = np.asarray(self.amplitudes, dtype=float)
             psi = a[0::2] + 1j * a[1::2]
-            norm = np.linalg.norm(psi)
+            with np.errstate(over="raise"):
+                norm = np.linalg.norm(psi)
             if norm == 0:
                 raise ConfigError("custom amplitudes are all zero")
             return psi / norm
@@ -229,6 +229,8 @@ class ScenarioConfig:
         return 0.05
 
     def validate(self) -> "ScenarioConfig":
+        """self, if a run can derive all it needs from it: a ValueError or an overflow
+        there, or more than MAX_OUTPUT_ROWS output rows, is a ConfigError."""
         for section, keys in SCHEMA.items():
             for key, (attr, _) in keys.items():
                 value = getattr(self, attr)
@@ -241,22 +243,30 @@ class ScenarioConfig:
             raise ConfigError(f"format must be 'csv' or 'json', got {self.out_format!r}")
         if self.t_end < 0:
             raise ConfigError(f"t_end must be non-negative, got {self.t_end}")
-        if self.kind == "hybrid":
-            try:
+        if self.kind == "quantum" and not self.n_values:
+            raise ConfigError("quantum runs need at least one photon number in quantum.n")
+        try:
+            if self.kind == "hybrid":
+                what = "the coupling D = K |omega1^2 - omega2^2|"
                 Regime.classify(self.osc_params())
                 self.spin_params()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            self.initial_spin_state()
-        else:
-            if not self.n_values:
-                raise ConfigError("quantum runs need at least one photon number in quantum.n")
-            try:
+                runs = 1
+            else:
                 for n in self.n_values:
+                    what = f"the effective coupling Omega0 = g^2/(omega0 - omega) at n = {n!r}"
                     self.quantum_params(n)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+                runs = len(self.n_values)
+            what = "the output grid"
+            rows = runs * (_grid_intervals(self.t_end, self.resolved_dt_out()) + 1)
+            if rows > MAX_OUTPUT_ROWS:
+                raise ConfigError(f"the output grid has {rows:.9g} rows, more than "
+                                  f"MAX_OUTPUT_ROWS = {MAX_OUTPUT_ROWS}")
+            what = "the norm of the initial state"
             self.initial_spin_state()
+        except ArithmeticError as exc:
+            raise ConfigError(f"{what} overflows: {type(exc).__name__}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
 
@@ -393,8 +403,6 @@ def render_config(cfg: ScenarioConfig) -> str:
                 continue
             if isinstance(value, tuple):
                 body.append(f"{key} = {','.join(repr(v) for v in value)}")
-            elif isinstance(value, float):
-                body.append(f"{key} = {value!r}")
             else:
                 body.append(f"{key} = {value}")
         if body:

@@ -134,10 +134,6 @@ class Regime(enum.Enum):
     DRIVEN_LINEAR = "driven_linear"                # F != 0, gamma != 0, xi = 0
     DRIVEN_NONLINEAR = "driven_nonlinear"          # F != 0, gamma != 0, xi != 0
 
-    @property
-    def autonomous(self) -> bool:
-        return self in (Regime.AUTONOMOUS_LINEAR, Regime.AUTONOMOUS_NONLINEAR)
-
     @classmethod
     def classify(cls, op: OscParams) -> "Regime":
         if op.F == 0.0 and op.gamma == 0.0:
@@ -409,15 +405,19 @@ def _checked_state(psi: np.ndarray, tol: float) -> np.ndarray:
     return correlators._check_state(psi).copy()
 
 
-def _time_grid(t0: float, t_end: float, dt_out: float) -> np.ndarray:
-    """Uniform output grid from t0 to t_end.  dt_out is adjusted to the
-    nearest exact divisor of the span so the grid lands on both endpoints;
-    a zero span gives the single point t0."""
+def _grid_intervals(span: float, dt_out: float) -> int:
+    """Intervals of the uniform output grid over span: dt_out is adjusted to
+    the nearest exact divisor, so the grid lands on both ends; none if span is 0."""
     if dt_out <= 0:
         raise ValueError(f"dt_out must be positive, got {dt_out}")
-    if t_end == t0:
+    return max(1, round(span / dt_out)) if span else 0
+
+
+def _time_grid(t0: float, t_end: float, dt_out: float) -> np.ndarray:
+    """Uniform output grid from t0 to t_end (the point t0 alone if they are equal)."""
+    n_out = _grid_intervals(t_end - t0, dt_out)
+    if n_out == 0:
         return np.array([t0])
-    n_out = max(1, round((t_end - t0) / dt_out))
     return t0 + (t_end - t0) * np.arange(n_out + 1) / n_out
 
 

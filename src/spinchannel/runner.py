@@ -19,7 +19,7 @@ import numpy as np
 from . import quantum_channel as qc
 from .config import (ConfigError, ScenarioConfig, apply_overrides, render_config,
                      resolve_field, _float, _float_list)
-from .hybrid_dynamics import HybridState, Regime, TimeSeries, integrate
+from .hybrid_dynamics import HybridState, Regime, TimeSeries, _grid_intervals, integrate
 from .spin_algebra import _rdot, expm_hermitian
 
 __all__ = ["RunResult", "run_scenario", "sweep", "write_output",
@@ -64,8 +64,7 @@ def _run_hybrid(cfg: ScenarioConfig) -> tuple[TimeSeries, dict]:
 
 
 def _run_quantum(cfg: ScenarioConfig) -> tuple[dict[str, np.ndarray], dict]:
-    n_out = max(1, round(cfg.t_end / cfg.resolved_dt_out())) if cfg.t_end > 0 else 0
-    ts = np.linspace(0.0, cfg.t_end, n_out + 1)
+    ts = np.linspace(0.0, cfg.t_end, _grid_intervals(cfg.t_end, cfg.resolved_dt_out()) + 1)
     psi0 = cfg.initial_spin_state()
 
     parts = []

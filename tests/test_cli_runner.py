@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinchannel.cli import main
-from spinchannel.config import (ConfigError, ScenarioConfig, parse_config,
+from spinchannel.config import (ConfigError, ScenarioConfig, apply_overrides, parse_config,
                                 preset_config, preset_names, render_config)
 from spinchannel.hybrid_dynamics import IntegrationDiagnostics, OscParams, TimeSeries
 from spinchannel.quantum_channel import GIBBS_EXPONENT_LIMIT
@@ -730,6 +730,88 @@ class TestCli:
         assert "finite" in err["message"]
         assert elapsed < 1.0
         assert not list(tmp_path.iterdir())
+
+    # The first two overflowed a parameter derivation into an OverflowError
+    # traceback (exit 1); the other two asked for a 728 TiB output grid
+    # (exit 1) and for more elements than numpy allows (exit 2 with numpy's
+    # bare message).  Each now fails in validate, before anything is allocated.
+    @pytest.mark.parametrize("scenario, override, message", [
+        ("fig2", "omega1=1e300", "the coupling D = K |omega1^2 - omega2^2| overflows: "
+                                 "OverflowError: "),
+        ("fig8", "quantum.g=1e200", "the effective coupling Omega0 = g^2/(omega0 - omega) at "
+                                    "n = 10.0 overflows: OverflowError: "),
+        ("fig2", "dt_out=1e-12", "the output grid has 1e+14 rows, more than "
+                                 "MAX_OUTPUT_ROWS = 1000000"),
+        ("fig8", "dt_out=1e-300", "the output grid has 4e+302 rows, more than "
+                                  "MAX_OUTPUT_ROWS = 1000000"),
+    ])
+    def test_underivable_config_fails_fast(self, scenario, override, message, tmp_path,
+                                           capsys):
+        start = time.perf_counter()
+        code = main(["run", "--scenario", scenario, "--set", override,
+                     "--out", str(tmp_path / "x.csv")])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config"
+        assert err["message"].startswith(message)
+        assert elapsed < 1.0
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scenario, overrides", [
+        ("fig2", {"omega1": 1e300}),
+        ("fig8", {"q_g": 1e200}),
+    ])
+    def test_overflow_in_validate_is_a_config_error(self, scenario, overrides):
+        cfg = apply_overrides(preset_config(scenario), overrides)
+        with pytest.raises(ConfigError, match="overflows: OverflowError"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("overrides, message", [
+        # fig8 used to divide by a zero dt_out (a ZeroDivisionError traceback)
+        # and to run a negative one on a two-point grid
+        (["--set", "dt_out=0"], "dt_out must be positive, got 0.0"),
+        (["--set", "dt_out=-1"], "dt_out must be positive, got -1.0"),
+        (["--set", "t_end=1e8", "--set", "dt_out=1e-300"], "the output grid overflows: "),
+    ])
+    def test_quantum_output_grid_is_checked(self, overrides, message, tmp_path, capsys):
+        code = main(["run", "--scenario", "fig8", *overrides, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "config"
+        assert err["message"].startswith(message)
+        assert not list(tmp_path.iterdir())
+
+    def test_output_grid_bound_counts_every_photon_number(self):
+        # 4 photon numbers of 250001 samples each: over the bound, though one
+        # photon number's grid is not
+        cfg = apply_overrides(preset_config("fig8"), {"t_end": 250.0, "dt_out": 1e-3})
+        with pytest.raises(ConfigError, match="has 1000004 rows, more than"):
+            cfg.validate()
+        cfg = apply_overrides(cfg, {"n_values": (10.0,)})
+        assert cfg.validate() is cfg
+
+    def test_overflowing_custom_amplitudes_are_a_config_error(self, tmp_path, capsys):
+        # the norm overflowed with a numpy warning, ahead of a misleading
+        # "not normalized" error from the stepper
+        code = main(["run", "--scenario", "fig2", "--set", "state=custom",
+                     "--set", "amplitudes=1e300,1e300,0,0,0,0,0,0", "--t-end", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == ("the norm of the initial state overflows: "
+                                  "FloatingPointError: overflow encountered in dot")
+        assert not list(tmp_path.iterdir())
+
+    def test_flags_win_over_set(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["run", "--scenario", "fig2", "--set", "t_end=5", "--t-end", "1",
+                     "--set", "tol=1e-6", "--tol", "1e-8", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        # dt_out 0.05 over t_end 1: 21 rows after the header
+        assert len(out.read_text().splitlines()) == 1 + 21
 
     def test_integration_error_names_its_locus(self, tmp_path, capsys):
         code = main(["run", "--scenario", "fig3", "--tol", "1e-4", "--t-end", "2000",
