@@ -33,6 +33,13 @@ class ConfigError(ValueError):
 MAX_OUTPUT_ROWS = 1_000_000
 
 
+def _check_finite(**derived: float) -> None:
+    """Raise an OverflowError naming the first derived quantity that is not finite."""
+    for name, value in derived.items():
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} = {value!r}")
+
+
 def _float(text: str) -> float:
     try:
         value = float(text)
@@ -230,7 +237,8 @@ class ScenarioConfig:
 
     def validate(self) -> "ScenarioConfig":
         """self, if a run can derive all it needs from it: a ValueError or an overflow
-        there, or more than MAX_OUTPUT_ROWS output rows, is a ConfigError."""
+        there (a derived quantity that is not finite counts as one), or more than
+        MAX_OUTPUT_ROWS output rows, is a ConfigError."""
         for section, keys in SCHEMA.items():
             for key, (attr, _) in keys.items():
                 value = getattr(self, attr)
@@ -248,7 +256,12 @@ class ScenarioConfig:
         try:
             if self.kind == "hybrid":
                 what = "the coupling D = K |omega1^2 - omega2^2|"
-                Regime.classify(self.osc_params())
+                op = self.osc_params()
+                _check_finite(D=op.D)
+                what = "a squared oscillator frequency"
+                _check_finite(**{"omega1^2": op.omega1 * op.omega1,
+                                 "omega2^2": op.omega2 * op.omega2})
+                Regime.classify(op)
                 self.spin_params()
                 runs = 1
             else:

@@ -21,9 +21,16 @@ computes U once and shares it: the quantum runner builds one U per photon
 number, and its columns and both cross-checks all come from it.
 A pure start stays pure, so the runner's concurrence column is
 2 |psi00 psi11 - psi01 psi10| of psi(t) = U psi0 (Hill & Wootters, PRL 78,
-5022 (1997)), exact to rounding; ``concurrence``, Wootters' formula for
-density matrices, serves the thermal cross-check.  A failed cross-check
-raises an IntegrationError that carries the worst t.
+5022 (1997)), exact to rounding.  Wootters' formula for a mixed state
+(PRL 80, 2245 (1998)) takes the R_i from tau = X^T (sigma_y x sigma_y) X of
+a factor rho = X X^dagger, in one of two ways.  ``thermal_concurrence`` has
+its factor for free, the evolved weighted Gibbs eigenvectors U X0, on which
+tau tau^dagger is diagonal to rounding: one batched eigvalsh gives every
+R_i^2 to rounding, with no density stack.  ``concurrence`` takes any rho,
+whose eigh factor need not make tau tau^dagger diagonal; eigvalsh there
+would lose half the digits of a near-zero R_i, so it takes the singular
+values of tau.  A failed cross-check raises an IntegrationError that
+carries the worst t.
 
 The oscillator is never represented as a Fock ladder: n is a fixed
 non-negative real parameter, and the n -> infinity limit (Omega_n -> 0,
@@ -63,14 +70,13 @@ _S2Z = embed(pauli("z"), 2)
 # sigma1_z and sigma2_z are diagonal: X @ S is X with its columns scaled
 _S1Z_DIAG = np.diag(_S1Z).real.copy()
 _S2Z_DIAG = np.diag(_S2Z).real.copy()
-# kron(sigma_y, sigma_y) is anti-diagonal with signs (-1, 1, 1, -1): X times
-# it is X with its columns reversed, times these signs
+# kron(sigma_y, sigma_y) is anti-diagonal with signs (-1, 1, 1, -1): it times
+# X is X with its rows reversed, each row times its sign
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 CROSS_CHECK_TOL = 1e-10
-EIGENVALUE_CLAMP = -1e-10
 DENSITY_HERM_TOL = 1e-12    # validate_density: max |rho - rho^dagger|
-DENSITY_TRACE_TOL = 1e-12   # validate_density: max |tr rho - 1|
+DENSITY_TRACE_TOL = 1e-12   # validate_density, thermal_concurrence: max |tr rho - 1|
 DENSITY_PSD_TOL = 1e-10     # validate_density: most negative eigenvalue allowed
 # Largest beta * max|E_i| over the eigenvalues of h_total: each Gibbs weight
 # e^{-beta E_i}, and each cosh in the closed forms, is then at most DBL_MAX/4,
@@ -97,6 +103,10 @@ class QuantumChannelParams:
             raise ValueError(f"mean photon number must be non-negative, got {self.n}")
         if self.beta < 0:
             raise ValueError(f"inverse temperature must be non-negative, got {self.beta}")
+        # |Omega_n| <= |Omega0| and omega0R <= omega0, so these two are all that can overflow
+        for name, value in (("Omega0", self.Omega0), ("2 (Omega0 + omega0R)", 2 * self.zeeman)):
+            if not math.isfinite(value):
+                raise OverflowError(f"{name} = {value!r}")
         widest = max(2 * abs(self.zeeman), abs(self.Omega_n))  # max |E_i|
         if self.beta * widest > GIBBS_EXPONENT_LIMIT:
             beta_max = GIBBS_EXPONENT_LIMIT / widest
@@ -201,27 +211,29 @@ def thermal_density(p: QuantumChannelParams) -> np.ndarray:
     Z = 2 cosh(2 beta (Omega0+omega0R)) + 2 cosh(beta Omega_n); the middle
     block is non-diagonal in the computational basis.
     """
-    Z = 2 * math.cosh(2 * p.beta * p.zeeman) + 2 * math.cosh(p.beta * p.Omega_n)
     rho = np.zeros((4, 4), dtype=complex)
-    for energy, vec in eigensystem(p):
-        rho += (math.exp(-p.beta * energy) / Z) * np.outer(vec, vec.conj())
+    for weight, vec in _gibbs_weights(p):
+        rho += weight * np.outer(vec, vec.conj())
     return rho
+
+
+def _gibbs_weights(p: QuantumChannelParams) -> list[tuple[float, np.ndarray]]:
+    """(e^{-beta E_i}/Z, phi_i) over eigensystem(p): the terms of thermal_density."""
+    Z = 2 * math.cosh(2 * p.beta * p.zeeman) + 2 * math.cosh(p.beta * p.Omega_n)
+    return [(math.exp(-p.beta * energy) / Z, vec) for energy, vec in eigensystem(p)]
+
+
+def _gibbs_factor(p: QuantumChannelParams) -> np.ndarray:
+    """X0 with columns sqrt(e^{-beta E_i}/Z) phi_i, so thermal_density(p) = X0 X0^dagger."""
+    return np.stack([math.sqrt(weight) * vec for weight, vec in _gibbs_weights(p)], axis=-1)
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of rho or of a (..., 4, 4) stack.
 
-    Non-finite entries are rejected first, before any arithmetic on them.
-    Positivity is certified per member by Gershgorin's discs (Horn & Johnson,
-    Matrix Analysis, 6.1): every eigenvalue is at least
-    min_i (Re rho_ii - sum_{j != i} |rho_ij|), and a member whose bound is at
-    least -DENSITY_PSD_TOL/2 passes without an eigen-solve.  eigvalsh reads
-    one triangle, whose mirror differs from the other by at most
-    DENSITY_HERM_TOL an entry, which moves the bound by at most three times
-    that, so eigvalsh would also find such a member's smallest eigenvalue
-    above -DENSITY_PSD_TOL.  Only the other members go through eigvalsh,
-    which decides, and names the most negative eigenvalue, exactly as over
-    the whole stack.
+    Non-finite entries are rejected first, before any arithmetic on them;
+    eigvalsh then decides positivity for every member and names the most
+    negative eigenvalue of the stack.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -240,13 +252,9 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
     if abs(worst - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
-    diag = rho.diagonal(axis1=-2, axis2=-1)
-    bound = (diag.real + np.abs(diag) - np.abs(rho).sum(axis=-1)).min(axis=-1)
-    uncertified = bound < -0.5 * DENSITY_PSD_TOL
-    if uncertified.any():
-        evals = np.linalg.eigvalsh(rho[uncertified])
-        if evals.min() < -DENSITY_PSD_TOL:
-            raise ValueError(f"density matrix has a negative eigenvalue ({evals.min():.3e})")
+    evals = np.linalg.eigvalsh(rho)
+    if evals.min() < -DENSITY_PSD_TOL:
+        raise ValueError(f"density matrix has a negative eigenvalue ({evals.min():.3e})")
     return rho
 
 
@@ -254,8 +262,8 @@ def _cross_check(quantity: str, route: str, t, closed, numeric) -> None:
     """Raise an IntegrationError unless closed form and dense route agree at
     every t; name the worst t, and carry it as the error's t."""
     t, closed, numeric = (a.ravel() for a in np.broadcast_arrays(t, closed, numeric))
-    k = np.argmax(np.abs(closed - numeric))
-    if abs(closed[k] - numeric[k]) > CROSS_CHECK_TOL:
+    k = np.argmax(np.abs(closed - numeric))  # the first NaN, if any
+    if not abs(closed[k] - numeric[k]) <= CROSS_CHECK_TOL:
         raise IntegrationError(f"{quantity} cross-check failed at t = {float(t[k])!r}: "
                                f"closed form {float(closed[k])!r} vs {route} "
                                f"{float(numeric[k])!r}", t=float(t[k]))
@@ -289,20 +297,27 @@ def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray, *,
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit density matrix or a (..., 4, 4) stack.
 
-    max(0, R1 - R2 - R3 - R4) with R_i the descending square roots of the
-    eigenvalues of rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  Tiny
-    negative eigenvalues in [EIGENVALUE_CLAMP, 0) are clamped to zero;
-    anything more negative is rejected.  Near a pure state three of those
-    eigenvalues are zero but for rounding, ~1e-17, and their roots leave
-    errors of ~1e-8; an evolved pure state's concurrence is exact from the
-    state vector (_pure_concurrence).
+    max(0, R1 - R2 - R3 - R4) with R_i the descending singular values of
+    Wootters' tau = X^T (sigma_y x sigma_y) X for a factor rho = X X^dagger
+    (Wootters, PRL 80, 2245 (1998)); their squares are the eigenvalues of
+    rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  X = V sqrt(lambda) comes
+    from eigh of the validated rho, with the eigenvalues that validate_density
+    lets through below zero (down to -DENSITY_PSD_TOL) taken as zero.  The
+    svd takes no square root of a near-zero spectrum, so a near-pure rho is
+    as exact as any other; eigvalsh of tau tau^dagger would not be, since
+    rho's eigenbasis need not make tau diagonal.
     """
-    evals = np.linalg.eigvals(_spin_flip(validate_density(rho))).real
-    if evals.min(initial=0.0) < EIGENVALUE_CLAMP:
-        raise ValueError(f"spin-flip spectrum has a negative eigenvalue ({evals.min():.3e})")
-    roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
+    evals, vecs = np.linalg.eigh(validate_density(rho))
+    roots = np.linalg.svd(_wootters_tau(vecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]),
+                          compute_uv=False)
     c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
     return np.where(c > 0.0, c, 0.0)[()]
+
+
+def _wootters_tau(X: np.ndarray) -> np.ndarray:
+    """Wootters' tau = X^T (sigma_y x sigma_y) X of each factor in a (..., 4, k)
+    stack, with the product by sigma_y x sigma_y taken as a signed row reversal."""
+    return X.swapaxes(-1, -2) @ (X[..., ::-1, :] * _YY_SIGNS[:, None])
 
 
 def _pure_concurrence(psi: np.ndarray) -> np.ndarray:
@@ -310,12 +325,6 @@ def _pure_concurrence(psi: np.ndarray) -> np.ndarray:
     state in a (..., 4) stack (Hill & Wootters, PRL 78, 5022 (1997)): the
     Wootters concurrence of |psi><psi|, without its square roots."""
     return 2.0 * np.abs(psi[..., 0] * psi[..., 3] - psi[..., 1] * psi[..., 2])
-
-
-def _spin_flip(rho: np.ndarray) -> np.ndarray:
-    """rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y), grouped left to right,
-    with each product by sigma_y x sigma_y taken as a signed column reversal."""
-    return ((rho[..., ::-1] * _YY_SIGNS) @ rho.conj())[..., ::-1] * _YY_SIGNS
 
 
 def gme(c: float | np.ndarray) -> float | np.ndarray:
@@ -334,15 +343,35 @@ def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray, *,
 
     Closed form 2 max(0, (|sinh(beta Omega_n)| - 1) / Z) with
     Z = 2 cosh(2 beta (Omega0+omega0R)) + 2 cosh(beta Omega_n), checked
-    against the Wootters pipeline on the state evolved to every t by the
-    propagator U on t (built here unless given).  The
-    thermal state is stationary, so the result is t-independent; t only
-    exercises that.
+    against Wootters' formula at every t, on the factor X(t) = U X0 of the
+    evolved Gibbs state rho(t) = X X^dagger (the columns of X0 are the
+    weighted eigenvectors sqrt(e^{-beta E_i}/Z) phi_i; U is the propagator
+    on t, built here unless given).  There the R_i^2 are the eigenvalues of
+    the Hermitian tau tau^dagger, tau = X^T (sigma_y x sigma_y) X.  U only
+    rephases the columns of X0, so tau is zero to rounding outside its
+    diagonal and its |00>, |11> corners, tau tau^dagger is diagonal to
+    rounding, and eigvalsh finds each R_i^2 to rounding of its own size,
+    near-pure states included.  The trace of rho(t), ||X(t)||_F^2, must be 1
+    within DENSITY_TRACE_TOL at every t.  The public ``concurrence`` of
+    thermal_density(p) is checked against the same closed form once, at
+    t = 0.  The thermal state is stationary, so the result is
+    t-independent; t only exercises that.
     """
     Z = 2 * math.cosh(2 * p.beta * p.zeeman) + 2 * math.cosh(p.beta * p.Omega_n)
-    closed = np.full(np.shape(t), 2.0 * max(0.0, (abs(math.sinh(p.beta * p.Omega_n)) - 1.0) / Z))
+    value = 2.0 * max(0.0, (abs(math.sinh(p.beta * p.Omega_n)) - 1.0) / Z)
+    closed = np.full(np.shape(t), value)
 
-    U = _propagator(p, t, U)
-    _cross_check("thermal concurrence", "Wootters", t, closed,
-                 concurrence(_rdot(U, thermal_density(p)) @ _dagger(U)))
+    X = _rdot(_propagator(p, t, U), _gibbs_factor(p))
+    parts = X.view(float)  # real and imaginary parts side by side, no copy
+    tr = np.einsum("...ij,...ij->...", parts, parts)  # ||X||_F^2 = tr rho(t)
+    ts, tr = (a.ravel() for a in np.broadcast_arrays(t, tr))
+    k = np.argmax(np.abs(tr - 1.0))  # the first NaN, if any
+    if not abs(tr[k] - 1.0) <= DENSITY_TRACE_TOL:
+        raise ValueError(f"evolved thermal state has trace {float(tr[k])!r} at "
+                         f"t = {float(ts[k])!r}, expected 1")
+    tau = _wootters_tau(X)
+    roots = np.sqrt(np.clip(np.linalg.eigvalsh(tau @ _dagger(tau)), 0.0, None))  # ascending
+    c = roots[..., 3] - roots[..., 2] - roots[..., 1] - roots[..., 0]
+    _cross_check("thermal concurrence", "Wootters", t, closed, np.where(c > 0.0, c, 0.0))
+    _cross_check("thermal concurrence", "Wootters", 0.0, value, concurrence(thermal_density(p)))
     return closed[()]

@@ -18,6 +18,7 @@ independent formula.  Each oracle and the tests that use it:
     commutator              test_spin_algebra.py::TestPauli, TestEmbed
     classical_limit_report  test_quantum_channel.py::TestClassicalLimitReport
     ClassicalLimitRow       test_quantum_channel.py::TestClassicalLimitReport
+    spin_flip_concurrence   test_quantum_channel.py::TestWoottersReference (of concurrence)
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from spinchannel.spin_algebra import SpinParams, _dagger, embed, expm_hermitian,
 
 _I2 = np.eye(2, dtype=complex)
 _SZ = pauli("z")
+_YY = np.kron(pauli("y"), pauli("y"))
 
 
 # -- the complex equations of motion ------------------------------------------
@@ -152,3 +154,17 @@ def classical_limit_report(p: QuantumChannelParams, t_max: float,
             n=n, otoc_amplitude=float(otoc_numeric(pn, ts, U=U).max()),
             thermal_otoc_amplitude=float(thermal_otoc(pn, ts, U=U).max())))
     return rows
+
+
+# -- entanglement ----------------------------------------------------------------
+
+def spin_flip_concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of a density matrix or a (..., 4, 4) stack from the
+    eigenvalues of the spin-flipped product rho YY rho* YY (Wootters, PRL 80,
+    2245 (1998)), YY = sigma_y x sigma_y, by a dense non-Hermitian eigensolve.
+    Near a pure state three of those eigenvalues are zero but for rounding,
+    and their square roots leave errors of ~1e-8."""
+    evals = np.linalg.eigvals(rho @ _YY @ rho.conj() @ _YY).real
+    roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
+    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return np.where(c > 0.0, c, 0.0)[()]

@@ -166,7 +166,7 @@ def test_criterion_4_thermal_closed_forms():
     ratio = amps[3] / amps[0]
     ok = worst_otoc <= 1e-10 and worst_conc <= 1e-10 and monotone and ratio < 0.01
     assert report(4, ok,
-                  f"thermal closed forms vs trace/spin-flip routes: OTOC dev "
+                  f"thermal closed forms vs trace/Wootters routes: OTOC dev "
                   f"{worst_otoc:.3e}, concurrence dev {worst_conc:.3e} (bounds 1e-10); "
                   f"t=0 exactly 0; amplitude family {['%.3g' % a for a in amps]} "
                   f"monotone={monotone}, n=1e4/n=10 ratio {ratio:.2e} < 1%"), \

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spinchannel import quantum_channel
 from spinchannel.cli import main
 from spinchannel.config import (ConfigError, ScenarioConfig, apply_overrides, parse_config,
                                 preset_config, preset_names, render_config)
@@ -625,23 +626,36 @@ class TestCli:
         assert table.shape == (4 * 6, len(QUANTUM_CSV_HEADER))
         assert np.isfinite(table).all()
 
-    def test_thermal_cross_check_failure_is_an_integration_error(self, tmp_path, capsys):
-        # zeeman 0, n = 0 and beta = 50: the thermal state is near the pure Bell
-        # ground state, where Wootters' route misses the closed form by ~1e-8,
-        # more than CROSS_CHECK_TOL; this used to exit 1 with a traceback
-        code = main(["run", "--scenario", "fig8", "--set", "quantum.omega0=1",
-                     "--set", "quantum.omega=3", "--set", "quantum.g=1.4142135623730951",
-                     "--set", "quantum.n=0", "--set", "beta=50", "--t-end", "50",
-                     "--out", str(tmp_path / "x.csv")])
+    # zeeman 0, n = 0 and beta = 50: the thermal state is the pure Bell ground
+    # state but for weights of ~1e-44
+    NEAR_PURE_BELL = ["run", "--scenario", "fig8", "--set", "quantum.omega0=1",
+                      "--set", "quantum.omega=3", "--set", "quantum.g=1.4142135623730951",
+                      "--set", "quantum.n=0", "--set", "beta=50", "--t-end", "50"]
+
+    def test_near_pure_bell_thermal_state_runs(self, tmp_path, capsys):
+        # Wootters' spin-flip eigenvalues missed the closed form by ~1e-8 here,
+        # more than CROSS_CHECK_TOL, and the run failed its cross-check (exit 3)
+        out = tmp_path / "x.csv"
+        assert main(self.NEAR_PURE_BELL + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table.shape == (5001, len(QUANTUM_CSV_HEADER))
+        assert (table[:, QUANTUM_CSV_HEADER.index("thermal_concurrence")] == 1.0).all()
+
+    def test_thermal_cross_check_failure_is_an_integration_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # a wrong Gibbs factor, the maximally mixed state of concurrence 0
+        monkeypatch.setattr(quantum_channel, "_gibbs_factor",
+                            lambda p: np.eye(4, dtype=complex) / 2)
+        code = main(self.NEAR_PURE_BELL + ["--out", str(tmp_path / "x.csv")])
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])["error"]
         assert err["category"] == "integration"
         assert 0.0 <= err["t"] <= 50.0 and err["h"] is None and err["err_norm"] is None
-        assert err["message"].startswith(
-            f"thermal concurrence cross-check failed at t = {err['t']!r}: closed form 1.0 "
-            f"vs Wootters 0.99999")
+        assert err["message"] == (f"thermal concurrence cross-check failed at t = {err['t']!r}: "
+                                  f"closed form 1.0 vs Wootters 0.0")
         assert not list(tmp_path.iterdir())
 
     def test_ambiguous_set_key(self, capsys):
@@ -758,6 +772,38 @@ class TestCli:
         assert err["category"] == "config"
         assert err["message"].startswith(message)
         assert elapsed < 1.0
+        assert not list(tmp_path.iterdir())
+
+    # Each derived an infinite quantity without raising: D = inf failed later as
+    # an integration error about d1 = inf, omega1^2 = inf as an OverflowError
+    # traceback (exit 1), and Omega0 = inf as a ZeroDivisionError in the
+    # Gibbs-limit message or, at beta = 0, as "dt_out must be positive".
+    @pytest.mark.parametrize("scenario, overrides, message", [
+        ("fig2", ["K=1e300", "omega2=1e10"],
+         "the coupling D = K |omega1^2 - omega2^2| overflows: OverflowError: D = inf"),
+        ("fig2", ["D=0.3", "omega1=1e200"],
+         "a squared oscillator frequency overflows: OverflowError: omega1^2 = inf"),
+        ("fig8", ["quantum.g=1e150", "quantum.omega=2.9999999999"],
+         "the effective coupling Omega0 = g^2/(omega0 - omega) at n = 10.0 overflows: "
+         "OverflowError: Omega0 = inf"),
+        ("fig8", ["quantum.g=1e150", "quantum.omega=2.9999999999", "beta=0"],
+         "the effective coupling Omega0 = g^2/(omega0 - omega) at n = 10.0 overflows: "
+         "OverflowError: Omega0 = inf"),
+        ("fig8", ["quantum.omega0=1e308", "quantum.n=0"],
+         "the effective coupling Omega0 = g^2/(omega0 - omega) at n = 0.0 overflows: "
+         "OverflowError: 2 (Omega0 + omega0R) = inf"),
+    ])
+    def test_non_finite_derived_quantity_is_a_config_error(self, scenario, overrides, message,
+                                                           tmp_path, capsys):
+        argv = ["run", "--scenario", scenario, "--t-end", "1", "--out", str(tmp_path / "x.csv")]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config"
+        assert err["message"] == message
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("scenario, overrides", [

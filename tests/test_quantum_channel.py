@@ -30,6 +30,11 @@ def params(n=0.0, beta=0.0, **kw):
     return QuantumChannelParams(n=n, beta=beta, **base)
 
 
+def zeeman_free(beta):
+    """Omega0 = -omega0R = -1 at n = 0: the ground state is a Bell state."""
+    return QuantumChannelParams(omega0=1.0, omega=3.0, g=2**0.5, n=0.0, beta=beta)
+
+
 def random_params(rng, with_beta=False):
     omega0 = rng.uniform(1.0, 5.0)
     return QuantumChannelParams(
@@ -53,6 +58,14 @@ class TestParams:
         with pytest.raises(ValueError, match="photon"):
             params(n=-1.0)
 
+    @pytest.mark.parametrize("kw, name", [(dict(omega=2.9999999999, g=1e150), "Omega0"),
+                                          (dict(omega0=1e308), "2 (Omega0 + omega0R)")])
+    def test_non_finite_derived_constant_rejected(self, kw, name):
+        # at beta = 0 the Gibbs limit cannot see it: 0 * inf is nan
+        with pytest.raises(OverflowError) as err:
+            params(**kw)
+        assert str(err.value) == f"{name} = inf"
+
     def test_classical_limit_of_constants(self):
         p = params(n=1e9)
         assert abs(p.Omega_n) < 1e-8
@@ -72,8 +85,7 @@ class TestParams:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isfinite(thermal_otoc(inside, ts)).all()
-            if widest == 2 * abs(inside.zeeman):  # a product ground state, |11>
-                assert np.isfinite(thermal_concurrence(inside, ts)).all()
+            assert np.isfinite(thermal_concurrence(inside, ts)).all()
         with pytest.raises(ValueError) as err:
             params(beta=beta_max * (1 + 1e-12), **kw)
         message = str(err.value)
@@ -445,13 +457,12 @@ class TestPureConcurrence:
         assert np.abs(c - np.abs(np.sin(2 * a))).max() <= 1e-15
 
     def test_agrees_with_wootters_on_random_pure_states(self):
-        # Wootters takes square roots of three spin-flip eigenvalues that are
-        # zero but for rounding; at up to 16 eps each, its own error is at most
-        # 3 sqrt(16 eps) = 1.8e-7 (2e-8 to 6e-8 measured per 2000 states)
+        # the singular values of Wootters' tau take no square root of the
+        # three zero eigenvalues of a pure state's spin-flip product: 7.5 eps
+        # measured on these 2000 states, at most 11 eps over 40 such seeds
         psi = self.random_states(0, 2000)
         wootters = concurrence(psi[:, :, None] * psi.conj()[:, None, :])
-        assert np.abs(quantum_channel._pure_concurrence(psi) - wootters).max() \
-            <= 3 * math.sqrt(16 * self.EPS)
+        assert np.abs(quantum_channel._pure_concurrence(psi) - wootters).max() <= 16 * self.EPS
 
     def test_stays_within_its_range(self):
         psi = np.concatenate([self.random_states(1, 2000), [bell_phi_minus()],
@@ -501,9 +512,9 @@ def near_psd_stacks(draw):
     return np.stack(members)
 
 
-class TestPositivityCertificate:
-    """The Gershgorin certificate accepts and rejects what eigvalsh of every
-    member does, with the same message, and spares eigvalsh where it holds."""
+class TestPositivity:
+    """validate_density accepts and rejects what eigvalsh of every member
+    does, with the same message, over a stack and member by member."""
 
     @staticmethod
     def outcome(rho):
@@ -534,72 +545,53 @@ class TestPositivityCertificate:
         assert self.outcome(rejected) == message
         assert self.outcome(np.stack([accepted, rejected, accepted])) == message
 
-    @staticmethod
-    def spy_eigvalsh(monkeypatch):
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def recording(a, *args, **kwargs):
-            seen.append(np.array(a))
-            return eigvalsh(a, *args, **kwargs)
+def random_densities(seed, size, rank=4):
+    """size random two-qubit densities of the given rank, exactly Hermitian."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(size, 4, rank)) + 1j * rng.normal(size=(size, 4, rank))
+    rhos = a @ a.conj().swapaxes(-1, -2)
+    rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+    return 0.5 * (rhos + rhos.conj().swapaxes(-1, -2))
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        return seen
+
+class TestWoottersReference:
+    """concurrence by the singular values of Wootters' tau against the
+    spin-flip eigenvalue route of oracles.spin_flip_concurrence."""
+
+    def test_random_full_rank_densities(self):
+        # 9.5e-13 measured on these 2000 states; the reference's square roots
+        # of small spin-flip eigenvalues lose the digits (median 9.2e-13 and
+        # worst 5.3e-11 over 20 seeds of 2000)
+        rhos = random_densities(10, 2000)
+        c = concurrence(rhos)
+        assert 0.5 < np.mean(c > 0.0) < 1.0  # entangled and separable members alike
+        assert np.abs(c - oracles.spin_flip_concurrence(rhos)).max() <= 1e-11
 
     @pytest.mark.parametrize("n", preset_config("fig8").n_values)
-    def test_fig8_stacks_are_certified_without_eigvalsh(self, n, monkeypatch):
-        stacks = TestDistinctMembers.fig8_stacks(n)
-        seen = self.spy_eigvalsh(monkeypatch)
-        for stack in stacks:
-            assert validate_density(stack) is stack
-        assert seen == []
-
-    def test_only_uncertified_members_reach_eigvalsh(self, monkeypatch):
-        thermal = TestDistinctMembers.fig8_stacks(10.0)[1][:50].copy()
-        plus = np.full((4, 4), 0.25, dtype=complex)  # |++><++|: bound -0.5, eigenvalues 0, 1
-        thermal[17] = plus
-        seen = self.spy_eigvalsh(monkeypatch)
-        validate_density(thermal)
-        assert len(seen) == 1 and seen[0].shape == (1, 4, 4)
-        assert np.array_equal(seen[0][0], plus)
-
-
-class TestSpinFlipReference:
-    """The spin flip as a signed column reversal against the dense products
-    rho YY rho* YY, grouped left to right, and the concurrence built on each."""
-
-    YY = np.kron(pauli("y"), pauli("y"))
-
-    def reference_concurrence(self, rho):
-        R = rho @ self.YY @ rho.conj() @ self.YY
-        evals = np.linalg.eigvals(R).real
-        roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
-        c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
-        return R, np.where(c > 0.0, c, 0.0)[()]
-
-    def assert_matches(self, rhos):
-        R, c = self.reference_concurrence(rhos)
-        assert np.array_equal(quantum_channel._spin_flip(rhos), R)
-        assert np.array_equal(concurrence(rhos), c)
-
-    def test_random_densities(self):
-        rng = np.random.default_rng(10)
-        a = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
-        rhos = a @ a.conj().swapaxes(-1, -2)
-        rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
-        rhos = 0.5 * (rhos + rhos.conj().swapaxes(-1, -2))  # exactly Hermitian
-        self.assert_matches(rhos)
-        self.assert_matches(rhos[0])
-
-    @pytest.mark.parametrize("n", [3.7, 10.0, 100.0, 1000.0, 1e4])
-    def test_fig8_grids(self, n):
+    def test_fig8_thermal_grids(self, n):
         cfg = preset_config("fig8")  # the runner's grid: 477 times over [0, 100]
         ts = np.linspace(0.0, cfg.t_end, round(cfg.t_end / cfg.resolved_dt_out()) + 1)
         p = cfg.quantum_params(n)
         U = expm_hermitian(h_total(p), ts)
-        bell = bell_phi_minus()
-        for rho in (np.outer(bell, bell.conj()), thermal_density(p)):
-            self.assert_matches(U @ rho @ U.conj().swapaxes(-1, -2))
+        rhos = U @ thermal_density(p) @ U.conj().swapaxes(-1, -2)
+        c = concurrence(rhos)
+        assert np.abs(c - thermal_concurrence(p, ts)).max() <= 1e-15
+        assert np.abs(c - oracles.spin_flip_concurrence(rhos)).max() <= 1e-15
+
+    def test_near_pure_bell_thermal_state(self):
+        # zeeman 0, n = 0 and beta = 50: the Gibbs state is the pure Bell
+        # ground state but for weights of ~1e-44, where the reference misses
+        # the closed form 1.0 by 1.1e-8
+        rho = thermal_density(zeeman_free(beta=50.0))
+        assert abs(concurrence(rho) - 1.0) <= 4 * np.finfo(float).eps
+
+    def test_stack_equals_per_member(self):
+        rhos = np.concatenate([random_densities(11, 150), random_densities(12, 150, rank=1),
+                               random_densities(13, 150, rank=2)])
+        c = concurrence(rhos.reshape(3, 150, 4, 4))
+        assert c.shape == (3, 150)
+        assert np.array_equal(c.ravel(), [concurrence(r) for r in rhos])
 
 
 class TestGme:
@@ -620,6 +612,25 @@ class TestGme:
         v = gme(c)
         assert 0.0 <= v <= 0.5
         assert gme(min(1.0, c + 0.1)) >= v
+
+
+@st.composite
+def gibbs_params(draw):
+    """Channel parameters with beta anywhere up to the Gibbs-weight limit, log
+    uniformly, so that most draws are near-pure; a third are zeeman-free, with
+    a Bell ground state."""
+    omega0, d = draw(st.floats(0.5, 5.0)), draw(st.floats(0.3, 3.0))
+    n = draw(st.floats(0.0, 50.0))
+    kind = draw(st.sampled_from(["zeeman_free", "below", "above"]))
+    if kind == "zeeman_free":  # Omega0 = -omega0R
+        q = QuantumChannelParams(omega0=omega0, omega=omega0 + d, n=n,
+                                 g=math.sqrt(d * omega0 / (2 * n + 1)))
+    else:
+        q = QuantumChannelParams(omega0=omega0, omega=omega0 + (d if kind == "above" else -d),
+                                 g=draw(st.floats(0.3, 2.0)), n=n)
+    widest = max(2 * abs(q.zeeman), abs(q.Omega_n))
+    fraction = min(10.0 ** draw(st.floats(-4.0, 0.0)), 1.0 - 1e-12)
+    return dataclasses.replace(q, beta=fraction * GIBBS_EXPONENT_LIMIT / widest)
 
 
 class TestThermalConcurrence:
@@ -652,6 +663,69 @@ class TestThermalConcurrence:
         for _ in range(25):
             p = random_params(rng, with_beta=True)
             thermal_concurrence(p, rng.uniform(0.0, 10.0))  # internal consistency check
+
+    @given(gibbs_params(), st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_never_raises_up_to_the_gibbs_limit(self, p, times):
+        c = thermal_concurrence(p, np.array(times))
+        assert c.shape == (len(times),) and 0.0 <= c[0] <= 1.0
+
+    def test_cross_checks_hold_on_near_pure_states(self):
+        # 200 Gibbs states within 1e-12 of their pure ground state, 100 of
+        # them zeeman-free with a Bell ground state of concurrence ~1; the
+        # cross-checks hold CROSS_CHECK_TOL at every t
+        rng = np.random.default_rng(21)
+        kept = 0
+        while kept < 200:
+            omega0, d, n = rng.uniform(0.5, 5.0), rng.uniform(0.3, 3.0), rng.uniform(0.0, 20.0)
+            zeeman_free = kept < 100
+            g = math.sqrt(d * omega0 / (2 * n + 1)) if zeeman_free else rng.uniform(0.3, 2.0)
+            q = QuantumChannelParams(omega0=omega0, omega=omega0 + d, g=g, n=n)
+            widest = max(2 * abs(q.zeeman), abs(q.Omega_n))
+            p = dataclasses.replace(q, beta=GIBBS_EXPONENT_LIMIT / widest * rng.uniform(0.1, 1.0))
+            if 1.0 - max(w for w, _ in quantum_channel._gibbs_weights(p)) > 1e-12:
+                continue
+            c = thermal_concurrence(p, rng.uniform(0.0, 100.0, 32))
+            if zeeman_free:
+                assert c[0] > 1.0 - 1e-12
+            kept += 1
+
+    @pytest.mark.parametrize("value", [1.0 + 1e-9, np.nan])
+    def test_trace_of_the_evolved_state_is_checked_at_every_t(self, value):
+        p = params(n=3.0, beta=0.5)
+        ts = np.linspace(0.0, 10.0, 50)
+        U = expm_hermitian(h_total(p), ts)
+        U[17] *= value
+        with pytest.raises(ValueError) as err:
+            thermal_concurrence(p, ts, U=U)
+        assert str(err.value).startswith("evolved thermal state has trace ")
+        assert str(err.value).endswith(f" at t = {float(ts[17])!r}, expected 1")
+
+    def test_public_concurrence_checks_the_gibbs_state_once(self, monkeypatch):
+        public = quantum_channel.concurrence
+        seen = []
+        monkeypatch.setattr(quantum_channel, "concurrence",
+                            lambda rho: seen.append(rho) or public(rho))
+        p = zeeman_free(beta=2.0)  # entangled: closed form 0.55
+        ts = np.linspace(0.0, 10.0, 50)
+        assert thermal_concurrence(p, ts)[0] > 0.5
+        assert len(seen) == 1 and np.array_equal(seen[0], thermal_density(p))
+        # a public route off by 2e-10 fails the check, which names t = 0
+        monkeypatch.setattr(quantum_channel, "concurrence", lambda rho: public(rho) + 2e-10)
+        with pytest.raises(RuntimeError, match=r"cross-check failed at t = 0\.0: ") as err:
+            thermal_concurrence(p, ts)
+        assert err.value.t == 0.0
+
+    def test_wrong_gibbs_factor_fails_the_grid_check(self, monkeypatch):
+        p = zeeman_free(beta=2.0)
+        ts = np.linspace(0.0, 10.0, 50)
+        # the maximally mixed state: unit trace, concurrence 0
+        monkeypatch.setattr(quantum_channel, "_gibbs_factor",
+                            lambda p: np.eye(4, dtype=complex) / 2)
+        with pytest.raises(RuntimeError, match="cross-check failed at t = 0.0: closed form "
+                                               "0.55") as err:
+            thermal_concurrence(p, ts)
+        assert err.value.t == 0.0
 
 
 class TestClassicalLimitReport:
@@ -766,6 +840,17 @@ class TestBatchedCrossChecks:
         message = str(built.value)
         assert f"at t = {float(self.TS[-1])!r}:" in message
         assert len(message) < 200  # values, never the whole grid
+
+    def test_nan_in_the_propagator_fails_the_thermal_otoc_check(self):
+        # a NaN difference compares False with the tolerance: it used to pass
+        p = params(n=3.0, beta=0.5)
+        U = expm_hermitian(h_total(p), self.TS)
+        U[17, 2, 1] = np.nan
+        with pytest.raises(RuntimeError) as err:
+            thermal_otoc(p, self.TS, U=U)
+        assert str(err.value).startswith(
+            f"thermal OTOC cross-check failed at t = {float(self.TS[17])!r}: ")
+        assert str(err.value).endswith(" vs trace nan")
 
     @pytest.mark.parametrize("evaluator", [otoc_numeric, thermal_otoc, thermal_concurrence])
     def test_propagator_must_match_the_grid(self, evaluator):
