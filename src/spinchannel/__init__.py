@@ -23,7 +23,7 @@ from .hybrid_dynamics import (CoefficientSeries, HybridState, IntegrationError,
                               propagate_nofeedback)
 from .correlators import CorrelatorRecord, otoc_product
 from .quantum_channel import (QuantumChannelParams, concurrence, eigensystem, gme,
-                              h_total, otoc_analytic, otoc_bell_spectral, otoc_numeric,
+                              h_total, otoc_bell_spectral, otoc_numeric,
                               thermal_concurrence, thermal_density, thermal_otoc)
 from .config import ScenarioConfig, parse_config, preset_config, render_config
 from .runner import RunResult, run_scenario, sweep, write_output

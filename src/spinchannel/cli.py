@@ -7,14 +7,16 @@ Subcommands:
 
 Failures exit nonzero and print a one-line machine-readable JSON error
 object to stderr with a category of config, integration, io or usage.
-Integration errors also carry ``t`` and ``h``, the time and step size
-of the stepper when it failed (null where there was none).
+Integration errors also carry ``t``, ``h`` and ``err_norm``, the time, step
+size and last error norm of the stepper when it failed (null where there was
+none, or where the value is not finite: NaN and Infinity are not JSON).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import (ConfigError, PRESETS, ScenarioConfig, apply_overrides, parse_config,
@@ -158,8 +160,9 @@ def _cmd_presets(_args) -> int:
 
 
 def _fail(category: str, message: str, code: int, **locus) -> int:
-    error = {"category": category, "message": message, **locus}
-    sys.stderr.write(json.dumps({"error": error}) + "\n")
+    error = {"category": category, "message": message,
+             **{k: v if v is not None and math.isfinite(v) else None for k, v in locus.items()}}
+    sys.stderr.write(json.dumps({"error": error}, allow_nan=False) + "\n")
     return code
 
 

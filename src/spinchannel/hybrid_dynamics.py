@@ -3,9 +3,10 @@
 The classical coordinates obey driven, damped Duffing equations with a linear
 inter-oscillator coupling; each oscillator additionally feels the mean-field
 back-action g<S^z> of its spin.  The integrated state is the classical phase
-space and the accumulated two-spin propagator U(t) under the
-position-dependent spin Hamiltonian, 4 + 32 reals; the wavefunction
-psi(t) = U(t) U(t0)^dagger psi0 is derived from it wherever it is needed.
+space and the two-spin propagator U(t) from the initial time t0 (the identity
+there) under the position-dependent spin Hamiltonian, 4 + 32 reals; the
+wavefunction psi(t) = U(t) psi0 is derived from it wherever it is needed, and
+the OTOC column is that of the probes sigma1_z, sigma2_z on psi0.
 Because that Hamiltonian is a sum of single-site terms, U(t) stays a
 Kronecker product u1 (x) u2 of 2x2 propagators.  That property is checked,
 not assumed: every sample records the Frobenius distance of U from the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,6 +65,7 @@ _POLAR_ROUNDING = 1e-14    # unitarity defect at which the iteration has converg
 
 _I4 = np.eye(4, dtype=complex)
 _SZ = pauli("z")
+_S1Z, _S2Z = embed(_SZ, 1), embed(_SZ, 2)   # the OTOC probes
 _SIGMA_OPS = [embed(pauli(ax), site) for site in (1, 2) for ax in ("x", "y", "z")]
 
 
@@ -147,9 +149,8 @@ class Regime(enum.Enum):
 
 @dataclass
 class HybridState:
-    """Snapshot of the coupled system: classical phase space, two-spin
-    wavefunction, and the accumulated propagator (identity at the initial
-    time)."""
+    """Snapshot of the coupled system: classical phase space and two-spin
+    wavefunction."""
 
     t: float
     x1: float
@@ -157,7 +158,6 @@ class HybridState:
     x2: float
     v2: float
     psi: np.ndarray
-    U: np.ndarray = field(default_factory=lambda: _I4.copy())
 
 
 @dataclass
@@ -179,11 +179,12 @@ class TimeSeries:
     """Uniformly sampled trajectory records.
 
     Columns follow the output schema: positions/velocities, direct spin
-    expectations, the OTOC and two-point correlator of the configured probe
-    pair, and the three energy contributions.  ``psis``/``Us`` keep the
-    sampled quantum state for downstream analysis; ``sep_defect`` is the
-    Frobenius distance of U from the nearest Kronecker product of 2x2
-    matrices.
+    expectations, the OTOC and two-point correlator of sigma1_z, sigma2_z,
+    and the three energy contributions.  ``psis``/``Us`` keep the sampled
+    quantum state, psi(t) = U(t) psi0, for downstream analysis (the OTOC of
+    other probes is ``correlators.otoc_product(Us, psi0, W, V)``);
+    ``sep_defect`` is the Frobenius distance of U from the nearest Kronecker
+    product of 2x2 matrices.
     """
 
     t: np.ndarray
@@ -316,7 +317,7 @@ def _coupling_operators(sp: SpinParams) -> tuple[np.ndarray, np.ndarray, np.ndar
     """S1, S2 (the dressed spin operator on each site) and the bare spin
     Hamiltonian Z4 = (omega0/2)(sigma1_z + sigma2_z)."""
     Snv = sp.site_operator()
-    return embed(Snv, 1), embed(Snv, 2), 0.5 * sp.omega0 * (embed(_SZ, 1) + embed(_SZ, 2))
+    return embed(Snv, 1), embed(Snv, 2), 0.5 * sp.omega0 * (_S1Z + _S2Z)
 
 
 def _real_form(M: np.ndarray) -> np.ndarray:
@@ -333,9 +334,9 @@ def _spin_maps(sp: SpinParams) -> np.ndarray:
     return np.vstack([_real_form(np.kron(-1j * M, _I4)) for M in (Z4, S1, S2)])
 
 
-def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
+def _hybrid_rhs(op: OscParams, sp: SpinParams, psi0: np.ndarray):
     """Right-hand side of the 36-real state (x1, v1, x2, v2, U) with
-    psi = U phi0, in real form.
+    psi = U psi0, in real form.
 
     dU/dt = -i (Z4 + g x1 S1 + g x2 S2) U is real-linear in the 32 reals u of
     U, and <S_i> = <psi|S_i|psi> is a real quadratic form u.Q_i u in them.
@@ -355,7 +356,7 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, phi0: np.ndarray):
     """
     g = sp.g
     S1, S2, _ = _coupling_operators(sp)
-    lift = _real_form(np.kron(_I4, phi0[None, :]))     # u -> psi, (8, 32)
+    lift = _real_form(np.kron(_I4, psi0[None, :]))     # u -> psi, (8, 32)
     B = np.vstack([_spin_maps(sp)] + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
 
     two_gamma, xi, F, Omega, D = 2.0 * op.gamma, op.xi, op.F, op.Omega, op.D
@@ -421,19 +422,19 @@ def _time_grid(t0: float, t_end: float, dt_out: float) -> np.ndarray:
     return t0 + (t_end - t0) * np.arange(n_out + 1) / n_out
 
 
-def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
+def _guard_step(y: np.ndarray, psi0: np.ndarray, diag: IntegrationDiagnostics,
                 tol: float) -> np.ndarray | None:
     """Accepted-step guard of a state whose last 32 reals are U.
 
-    Records the norm drift of psi = U phi0 and the unitarity defect of U,
+    Records the norm drift of psi = U psi0 and the unitarity defect of U,
     aborts once the accumulated norm drift exceeds CUM_DRIFT_LIMIT and, above
     RENORM_THRESHOLD, returns the state with U replaced by its polar factor
     (None if U is kept).
     """
     U = y[-32:].view(complex).reshape(4, 4)
     G = U.conj().T.dot(U)
-    # |psi|^2 = phi0^dagger G phi0
-    drift = abs(math.sqrt(np.vdot(phi0, G.dot(phi0)).real) - 1.0)
+    # |psi|^2 = psi0^dagger G psi0
+    drift = abs(math.sqrt(np.vdot(psi0, G.dot(psi0)).real) - 1.0)
     E = G - _I4
     udef = float(_max_abs(E))
     if drift > diag.max_step_norm_drift:
@@ -453,15 +454,15 @@ def _guard_step(y: np.ndarray, phi0: np.ndarray, diag: IntegrationDiagnostics,
     return y
 
 
-def _fix_samples(U: np.ndarray, phi0: np.ndarray, t: np.ndarray,
+def _fix_samples(U: np.ndarray, psi0: np.ndarray, t: np.ndarray,
                  diag: IntegrationDiagnostics) -> np.ndarray:
     """Sample fix-up of a (n, 4, 4) stack of sampled propagators at times t.
 
-    Records the output norm drift of psi = U phi0 and the unitarity defect of
+    Records the output norm drift of psi = U psi0 and the unitarity defect of
     U, replaces in place the members above RENORM_THRESHOLD by their polar
-    factor, and returns psi = U phi0 for every member.
+    factor, and returns psi = U psi0 for every member.
     """
-    psi = _rdot(U, phi0)
+    psi = _rdot(U, psi0)
     drift = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
     E = _dagger(U) @ U - _I4
     udef = np.abs(E).max(axis=(-2, -1))
@@ -475,14 +476,14 @@ def _fix_samples(U: np.ndarray, phi0: np.ndarray, t: np.ndarray,
         except FloatingPointError as exc:
             raise IntegrationError(f"projection of the samples at t = "
                                    f"{t[fix][0]}..{t[fix][-1]} failed: {exc}") from exc
-        psi[fix] = _rdot(U[fix], phi0)
+        psi[fix] = _rdot(U[fix], psi0)
     return psi
 
 
 def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float,
-               phi0: np.ndarray, diag: IntegrationDiagnostics
+               psi0: np.ndarray, diag: IntegrationDiagnostics
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate a state whose last 32 reals are U, with psi = U phi0, by the
+    """Integrate a state whose last 32 reals are U, with psi = U psi0, by the
     adaptive DP45 from t_grid[0] to t_end, under the accepted-step guard,
     sampling its dense output at every grid time.
 
@@ -507,7 +508,7 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
                 while k < n and grid[k] <= t + 1e-12 * max(1.0, abs(t)):
                     samples[k] = stepper.interpolate(grid[k])
                     k += 1
-                y = _guard_step(stepper.y, phi0, diag, tol)
+                y = _guard_step(stepper.y, psi0, diag, tol)
                 if y is not None:
                     stepper.replace_state(y)
         except Exception as exc:
@@ -521,23 +522,22 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
         diag.n_steps = stepper.n_steps
         diag.n_rejected = stepper.n_rejected
     Us = samples[:, m:].copy().view(complex).reshape(n, 4, 4)
-    return samples[:, :m].T.copy(), Us, _fix_samples(Us, phi0, t_grid, diag)
+    return samples[:, :m].T.copy(), Us, _fix_samples(Us, psi0, t_grid, diag)
 
 
 def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
-              t_end: float, dt_out: float, tol: float,
-              otoc_ops: tuple[np.ndarray, np.ndarray] | None = None) -> TimeSeries:
+              t_end: float, dt_out: float, tol: float) -> TimeSeries:
     """Integrate the coupled system and sample it every dt_out.
 
     tol is the relative tolerance of the adaptive stepper (also used as the
     absolute tolerance; the dynamical variables are O(1) in model units) and
-    must lie in [1e-12, 1e-4].  The OTOC/two-point columns use the probe pair
-    ``otoc_ops`` (default sigma1_z, sigma2_z) with the initial psi as the
-    reference state.  dt_out is adjusted to the nearest exact divisor of the
-    time span so the grid lands on both endpoints.  The parameters must
-    classify as one of the four regimes (RegimeError otherwise).  The
-    stepper only stores the sampled states; every output column is evaluated
-    afterwards in one pass over the whole stack.
+    must lie in [1e-12, 1e-4].  U is integrated from the identity at
+    initial.t, so psi(t) = U(t) psi0; the OTOC/two-point columns are those of
+    the probes sigma1_z, sigma2_z on psi0.  dt_out is adjusted to the nearest
+    exact divisor of the time span so the grid lands on both endpoints.  The
+    parameters must classify as one of the four regimes (RegimeError
+    otherwise).  The stepper only stores the sampled states; every output
+    column is evaluated afterwards in one pass over the whole stack.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end ({t_end}) must not precede the initial time ({initial.t})")
@@ -545,30 +545,22 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     t_grid = _time_grid(initial.t, t_end, dt_out)
     Regime.classify(op)
 
-    if otoc_ops is None:
-        otoc_ops = (embed(pauli("z"), 1), embed(pauli("z"), 2))
-    W, V = otoc_ops
-    U0 = np.asarray(initial.U, dtype=complex)
-    # psi(t) = U(t) phi0 with psi(t0) = psi0
-    phi0 = U0.conj().T @ psi0
-
     diag = IntegrationDiagnostics()
     y0 = np.concatenate(([initial.x1, initial.v1, initial.x2, initial.v2],
-                         U0.reshape(-1).view(float)))
-    xs, Us, psis = _propagate(_hybrid_rhs(op, sp, phi0), y0, t_grid, t_end, tol, phi0, diag)
+                         _I4.reshape(-1).view(float)))
+    xs, Us, psis = _propagate(_hybrid_rhs(op, sp, psi0), y0, t_grid, t_end, tol, psi0, diag)
 
     # <sigma> of both sites, then f1, f2 and h_nv; the copy frees the complex
     # einsum result
     ops = np.stack(_SIGMA_OPS + list(_coupling_operators(sp)))
     expect = np.einsum("ki,oij,kj->ok", psis.conj(), ops, psis, optimize=True).real.copy()
-    rec = correlators.otoc_product(Us, psi0, W, V)
+    rec = correlators.otoc_product(Us, psi0, _S1Z, _S2Z)
 
     x1, v1, x2, v2 = xs
     s1x, s1y, s1z, s2x, s2y, s2z, f1, f2, h_nv = expect
-    state = HybridState(t=t_grid, x1=x1, v1=v1, x2=x2, v2=v2, psi=psis, U=Us)
+    state = HybridState(t=t_grid, x1=x1, v1=v1, x2=x2, v2=v2, psi=psis)
     final = HybridState(t=t_grid[-1], x1=float(x1[-1]), v1=float(v1[-1]),
-                        x2=float(x2[-1]), v2=float(v2[-1]),
-                        psi=psis[-1].copy(), U=Us[-1].copy())
+                        x2=float(x2[-1]), v2=float(v2[-1]), psi=psis[-1].copy())
     return TimeSeries(t=t_grid, x1=x1, v1=v1, x2=x2, v2=v2,
                       s1x=s1x, s1y=s1y, s1z=s1z, s2x=s2x, s2y=s2y, s2z=s2z,
                       otoc=rec.C, two_point=rec.G2,

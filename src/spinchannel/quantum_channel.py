@@ -11,6 +11,13 @@ with Omega0 = g^2/(omega0 - omega), Omega_n = Omega0/(2n+1) and
 omega0R = omega0/(2n+1).  Everything downstream (eigensystem, OTOC, thermal
 state, concurrence) is closed-form in these three constants; the numeric
 routes recompute each quantity from dense 4x4 algebra as a cross-check.
+
+Each closed form is written once.  The Bell-state OTOC is
+``otoc_bell_spectral``, 1 - cos(4 Omega_n t), as a dense Tavis-Cummings
+model confirms at n = 0 (tests/oracles.py; n > 0 is not checked); the paper
+prints 2 sin^2(4 Omega_n t).  The Gibbs state is the factor X0 of
+``_gibbs_factor``, and ``thermal_density`` is X0 X0^dagger.
+
 Evaluators take t as a scalar or a 1-D time grid, and the cross-checks hold
 at every grid point.  The numeric routes need the propagator
 U = exp(-i h_total(p) t) on that t; ``otoc_numeric``, ``thermal_otoc`` and
@@ -24,13 +31,14 @@ A pure start stays pure, so the runner's concurrence column is
 5022 (1997)), exact to rounding.  Wootters' formula for a mixed state
 (PRL 80, 2245 (1998)) takes the R_i from tau = X^T (sigma_y x sigma_y) X of
 a factor rho = X X^dagger, in one of two ways.  ``thermal_concurrence`` has
-its factor for free, the evolved weighted Gibbs eigenvectors U X0, on which
+its factor for free, the evolved Gibbs factor U X0, on which
 tau tau^dagger is diagonal to rounding: one batched eigvalsh gives every
 R_i^2 to rounding, with no density stack.  ``concurrence`` takes any rho,
 whose eigh factor need not make tau tau^dagger diagonal; eigvalsh there
 would lose half the digits of a near-zero R_i, so it takes the singular
 values of tau.  A failed cross-check raises an IntegrationError that
-carries the worst t.
+carries the worst t; an empty time grid gives empty results and checks
+nothing.
 
 The oscillator is never represented as a Fock ladder: n is a fixed
 non-negative real parameter, and the n -> infinity limit (Omega_n -> 0,
@@ -54,7 +62,6 @@ __all__ = [
     "QuantumChannelParams",
     "h_total",
     "eigensystem",
-    "otoc_analytic",
     "otoc_bell_spectral",
     "otoc_numeric",
     "thermal_density",
@@ -162,23 +169,14 @@ def eigensystem(p: QuantumChannelParams) -> list[tuple[float, np.ndarray]]:
     ]
 
 
-def otoc_analytic(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.ndarray:
-    """Stated closed-form Bell-state OTOC, 2 sin^2(4 Omega_n t).
-
-    Note: the exact propagator evaluation of the same quantity follows
-    1 - cos(4 Omega_n t) = 2 sin^2(2 Omega_n t) instead (otoc_bell_spectral,
-    which otoc_numeric matches to rounding).  Both forms are exposed
-    deliberately; the test suite pins down the disagreement.
-    """
-    return 2.0 * np.sin(4.0 * p.Omega_n * np.asarray(t)) ** 2
-
-
 def otoc_bell_spectral(p: QuantumChannelParams, t: float | np.ndarray) -> float | np.ndarray:
     """Bell-state OTOC from the eigenphase structure: 1 - cos(4 Omega_n t).
 
     The four-operator product sigma1_z(t) sigma2_z sigma1_z(t) sigma2_z is
     diagonal in the energy eigenbasis with phases {0, +-4 Omega_n t, 0}; the
-    singlet-like Bell state projects onto a single phase, giving this form.
+    singlet-like Bell state projects onto a single phase, giving this form,
+    which otoc_numeric matches to rounding.  It is 2 sin^2(2 Omega_n t), not
+    the printed 2 sin^2(4 Omega_n t).
     """
     return 1.0 - np.cos(4.0 * p.Omega_n * np.asarray(t))
 
@@ -205,27 +203,24 @@ def otoc_numeric(p: QuantumChannelParams, t: float | np.ndarray,
 
 
 def thermal_density(p: QuantumChannelParams) -> np.ndarray:
-    """Gibbs state of the effective Hamiltonian in the computational basis.
-
-    Diagonal weights e^{-beta E_i}/Z over the closed-form eigenbasis with
-    Z = 2 cosh(2 beta (Omega0+omega0R)) + 2 cosh(beta Omega_n); the middle
-    block is non-diagonal in the computational basis.
-    """
-    rho = np.zeros((4, 4), dtype=complex)
-    for weight, vec in _gibbs_weights(p):
-        rho += weight * np.outer(vec, vec.conj())
-    return rho
+    """Gibbs state X0 X0^dagger of the effective Hamiltonian in the
+    computational basis, from the factor X0 of _gibbs_factor; the middle
+    block is non-diagonal in the computational basis."""
+    X0 = _gibbs_factor(p)
+    return X0 @ _dagger(X0)
 
 
-def _gibbs_weights(p: QuantumChannelParams) -> list[tuple[float, np.ndarray]]:
-    """(e^{-beta E_i}/Z, phi_i) over eigensystem(p): the terms of thermal_density."""
-    Z = 2 * math.cosh(2 * p.beta * p.zeeman) + 2 * math.cosh(p.beta * p.Omega_n)
-    return [(math.exp(-p.beta * energy) / Z, vec) for energy, vec in eigensystem(p)]
+def _partition_function(p: QuantumChannelParams) -> float:
+    """Z = 2 cosh(2 beta (Omega0+omega0R)) + 2 cosh(beta Omega_n)."""
+    return 2 * math.cosh(2 * p.beta * p.zeeman) + 2 * math.cosh(p.beta * p.Omega_n)
 
 
 def _gibbs_factor(p: QuantumChannelParams) -> np.ndarray:
-    """X0 with columns sqrt(e^{-beta E_i}/Z) phi_i, so thermal_density(p) = X0 X0^dagger."""
-    return np.stack([math.sqrt(weight) * vec for weight, vec in _gibbs_weights(p)], axis=-1)
+    """The Gibbs state's factor X0, whose columns are the closed-form
+    eigenvectors weighted as sqrt(e^{-beta E_i}/Z) phi_i."""
+    Z = _partition_function(p)
+    return np.stack([math.sqrt(math.exp(-p.beta * energy) / Z) * vec
+                     for energy, vec in eigensystem(p)], axis=-1)
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
@@ -260,8 +255,11 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
 
 def _cross_check(quantity: str, route: str, t, closed, numeric) -> None:
     """Raise an IntegrationError unless closed form and dense route agree at
-    every t; name the worst t, and carry it as the error's t."""
+    every t (none on an empty grid); name the worst t, and carry it as the
+    error's t."""
     t, closed, numeric = (a.ravel() for a in np.broadcast_arrays(t, closed, numeric))
+    if not t.size:
+        return
     k = np.argmax(np.abs(closed - numeric))  # the first NaN, if any
     if not abs(closed[k] - numeric[k]) <= CROSS_CHECK_TOL:
         raise IntegrationError(f"{quantity} cross-check failed at t = {float(t[k])!r}: "
@@ -341,23 +339,21 @@ def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray, *,
                         U: np.ndarray | None = None) -> float | np.ndarray:
     """Concurrence of the (time-evolved) thermal state.
 
-    Closed form 2 max(0, (|sinh(beta Omega_n)| - 1) / Z) with
-    Z = 2 cosh(2 beta (Omega0+omega0R)) + 2 cosh(beta Omega_n), checked
-    against Wootters' formula at every t, on the factor X(t) = U X0 of the
-    evolved Gibbs state rho(t) = X X^dagger (the columns of X0 are the
-    weighted eigenvectors sqrt(e^{-beta E_i}/Z) phi_i; U is the propagator
-    on t, built here unless given).  There the R_i^2 are the eigenvalues of
-    the Hermitian tau tau^dagger, tau = X^T (sigma_y x sigma_y) X.  U only
-    rephases the columns of X0, so tau is zero to rounding outside its
-    diagonal and its |00>, |11> corners, tau tau^dagger is diagonal to
-    rounding, and eigvalsh finds each R_i^2 to rounding of its own size,
-    near-pure states included.  The trace of rho(t), ||X(t)||_F^2, must be 1
-    within DENSITY_TRACE_TOL at every t.  The public ``concurrence`` of
-    thermal_density(p) is checked against the same closed form once, at
-    t = 0.  The thermal state is stationary, so the result is
-    t-independent; t only exercises that.
+    Closed form 2 max(0, (|sinh(beta Omega_n)| - 1) / Z), with Z the
+    partition function, checked against Wootters' formula at every t, on the
+    factor X(t) = U X0 of the evolved Gibbs state rho(t) = X X^dagger (X0 of
+    _gibbs_factor; U the propagator on t, built here unless given).  There
+    the R_i^2 are the eigenvalues of the Hermitian tau tau^dagger,
+    tau = X^T (sigma_y x sigma_y) X.  U only rephases the columns of X0, so
+    tau is zero to rounding outside its diagonal and its |00>, |11> corners,
+    tau tau^dagger is diagonal to rounding, and eigvalsh finds each R_i^2 to
+    rounding of its own size, near-pure states included.  The trace of
+    rho(t), ||X(t)||_F^2, must be 1 within DENSITY_TRACE_TOL at every t.  The
+    public ``concurrence`` of thermal_density(p) is checked against the same
+    closed form once, at t = 0.  The thermal state is stationary, so the
+    result is t-independent; t only exercises that.
     """
-    Z = 2 * math.cosh(2 * p.beta * p.zeeman) + 2 * math.cosh(p.beta * p.Omega_n)
+    Z = _partition_function(p)
     value = 2.0 * max(0.0, (abs(math.sinh(p.beta * p.Omega_n)) - 1.0) / Z)
     closed = np.full(np.shape(t), value)
 
@@ -365,10 +361,11 @@ def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray, *,
     parts = X.view(float)  # real and imaginary parts side by side, no copy
     tr = np.einsum("...ij,...ij->...", parts, parts)  # ||X||_F^2 = tr rho(t)
     ts, tr = (a.ravel() for a in np.broadcast_arrays(t, tr))
-    k = np.argmax(np.abs(tr - 1.0))  # the first NaN, if any
-    if not abs(tr[k] - 1.0) <= DENSITY_TRACE_TOL:
-        raise ValueError(f"evolved thermal state has trace {float(tr[k])!r} at "
-                         f"t = {float(ts[k])!r}, expected 1")
+    if tr.size:  # an empty grid has no trace to check
+        k = np.argmax(np.abs(tr - 1.0))  # the first NaN, if any
+        if not abs(tr[k] - 1.0) <= DENSITY_TRACE_TOL:
+            raise ValueError(f"evolved thermal state has trace {float(tr[k])!r} at "
+                             f"t = {float(ts[k])!r}, expected 1")
     tau = _wootters_tau(X)
     roots = np.sqrt(np.clip(np.linalg.eigvalsh(tau @ _dagger(tau)), 0.0, None))  # ascending
     c = roots[..., 3] - roots[..., 2] - roots[..., 1] - roots[..., 0]

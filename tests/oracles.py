@@ -2,7 +2,9 @@
 
 No run path calls these; they are kept here, as written when they lived in
 ``spinchannel``, so that each run-path routine is checked against an
-independent formula.  Each oracle and the tests that use it:
+independent formula.  The Tavis-Cummings model never lived there: it is the
+full spin-oscillator model that the quantum channel's effective Hamiltonian
+approximates.  Each oracle and the tests that use it:
 
     _force                  the oscillator accelerations of ``derivative``, and
                             test_hybrid_dynamics.py::TestHybridRhsBuffer (the forces
@@ -11,6 +13,7 @@ independent formula.  Each oracle and the tests that use it:
     build_spin_hamiltonian  test_hybrid_dynamics.py::TestSpinHamiltonian, TestDerivative,
                             TestPropagateNoFeedback
     derivative              test_hybrid_dynamics.py::TestDerivative, TestHybridRhs (of _hybrid_rhs)
+    Derivative              the return type of ``derivative``
     _real_expectation       the mean-field forces of ``derivative``
     otoc_commutator         test_correlators.py::TestOtocCommutator, test_acceptance.py criterion 8
     two_point               test_correlators.py::TestTwoPoint
@@ -19,6 +22,9 @@ independent formula.  Each oracle and the tests that use it:
     classical_limit_report  test_quantum_channel.py::TestClassicalLimitReport
     ClassicalLimitRow       test_quantum_channel.py::TestClassicalLimitReport
     spin_flip_concurrence   test_quantum_channel.py::TestWoottersReference (of concurrence)
+    tavis_cummings_hamiltonian, tavis_cummings_bell_otoc
+                            test_quantum_channel.py::TestTavisCummings (of otoc_bell_spectral,
+                            the one closed form of the Bell OTOC)
 """
 
 from __future__ import annotations
@@ -32,9 +38,11 @@ from spinchannel.correlators import _check_state, _check_unitary
 from spinchannel.hybrid_dynamics import HybridState, OscParams
 from spinchannel.quantum_channel import (QuantumChannelParams, h_total, otoc_numeric,
                                          thermal_otoc)
-from spinchannel.spin_algebra import SpinParams, _dagger, embed, expm_hermitian, pauli
+from spinchannel.spin_algebra import (SpinParams, _dagger, bell_phi_minus, embed,
+                                      expm_hermitian, pauli)
 
 _I2 = np.eye(2, dtype=complex)
+_I4 = np.eye(4, dtype=complex)
 _SZ = pauli("z")
 _YY = np.kron(pauli("y"), pauli("y"))
 
@@ -74,16 +82,28 @@ def build_spin_hamiltonian(x1: float, x2: float, sp: SpinParams) -> np.ndarray:
     return np.kron(site_hamiltonian(x1, sp), _I2) + np.kron(_I2, site_hamiltonian(x2, sp))
 
 
-def derivative(s: HybridState, op: OscParams, sp: SpinParams) -> HybridState:
-    """Time derivative of every dynamical variable, as a HybridState whose
-    fields hold the derivatives (x fields carry velocities, v fields carry
-    accelerations, psi/U carry d(psi)/dt and dU/dt)."""
+@dataclass(frozen=True)
+class Derivative:
+    """The time derivative of each dynamical variable: the x fields carry
+    velocities, the v fields accelerations, psi and U d(psi)/dt and dU/dt."""
+
+    x1: float
+    v1: float
+    x2: float
+    v2: float
+    psi: np.ndarray
+    U: np.ndarray
+
+
+def derivative(s: HybridState, op: OscParams, sp: SpinParams,
+               U: np.ndarray = _I4) -> Derivative:
+    """Time derivative of every dynamical variable of the state s and of a
+    propagator U (the identity unless given)."""
     H = build_spin_hamiltonian(s.x1, s.x2, sp)
     f1 = _real_expectation(s.psi, embed(sp.site_operator(), 1))
     f2 = _real_expectation(s.psi, embed(sp.site_operator(), 2))
     a1, a2 = _force(op, sp.g)(s.t, s.x1, s.v1, s.x2, s.v2, f1, f2)
-    return HybridState(t=s.t, x1=s.v1, v1=a1, x2=s.v2, v2=a2,
-                       psi=-1j * (H @ s.psi), U=-1j * (H @ s.U))
+    return Derivative(x1=s.v1, v1=a1, x2=s.v2, v2=a2, psi=-1j * (H @ s.psi), U=-1j * (H @ U))
 
 
 def _real_expectation(psi: np.ndarray, op: np.ndarray) -> float:
@@ -168,3 +188,46 @@ def spin_flip_concurrence(rho: np.ndarray) -> float | np.ndarray:
     roots = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=-1)[..., ::-1]
     c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
     return np.where(c > 0.0, c, 0.0)[()]
+
+
+# -- the full spin-oscillator model of the quantum channel -------------------------
+
+def tavis_cummings_hamiltonian(omega0: float, omega: float, g: float,
+                               cutoff: int) -> np.ndarray:
+    """Two spins and one mode, on spin1 (x) spin2 (x) Fock states |0>..|cutoff-1>:
+
+        omega a^dag a + (omega0/2)(sigma1_z + sigma2_z) + g sum_i (a s_i^+ + a^dag s_i^-)
+
+    with the rotating-wave coupling of Tavis & Cummings (Phys. Rev. 170, 379
+    (1968)); s^+ = |0><1| raises a spin to sigma_z = +1, the package's |0>.
+    The coupling conserves photons plus raised spins, and the block of k
+    such excitations holds at most k photons, so the truncation is exact for
+    every state of fewer than cutoff excitations."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
+    fock = np.eye(cutoff)
+    H = (omega * np.kron(_I4, _dagger(a) @ a)
+         + 0.5 * omega0 * np.kron(embed(_SZ, 1) + embed(_SZ, 2), fock))
+    raise_ = np.array([[0, 1], [0, 0]], dtype=complex)
+    for site in (1, 2):
+        s_plus = embed(raise_, site)
+        H += g * (np.kron(s_plus, a) + np.kron(_dagger(s_plus), _dagger(a)))
+    return H
+
+
+def tavis_cummings_bell_otoc(omega0: float, omega: float, g: float, ts: np.ndarray,
+                             n: int = 0, cutoff: int = 4) -> np.ndarray:
+    """OTOC 1 - Re <psi0| W(t) V W(t) V |psi0> of W = sigma1_z, V = sigma2_z
+    at each t in ts, with psi0 the Bell state (|01> - |10>)/sqrt(2) times the
+    Fock state |n>, and W(t) = U^dagger W U for the propagator U of the dense
+    ``tavis_cummings_hamiltonian`` (n + 1 excitations: exact for
+    cutoff > n + 1)."""
+    E, Q = np.linalg.eigh(tavis_cummings_hamiltonian(omega0, omega, g, cutoff))
+    fock = np.eye(cutoff)
+    W, V = (np.kron(embed(_SZ, site), fock) for site in (1, 2))
+    psi0 = np.kron(bell_phi_minus(), fock[n])
+    out = []
+    for t in np.asarray(ts, dtype=float):
+        U = (Q * np.exp(-1j * E * t)) @ _dagger(Q)
+        Wt = _dagger(U) @ W @ U
+        out.append(1.0 - np.vdot(psi0, Wt @ V @ Wt @ V @ psi0).real)
+    return np.array(out)

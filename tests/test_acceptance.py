@@ -12,8 +12,9 @@ quoted figure:
   with 1 - cos(2 (E2 - E3) t) = 1 - cos(4 Omega_n t), taken from the
   documented closed-form eigensystem (the Bell state is the E3 eigenvector
   and sigma1_z maps it onto the E2 one).  The quoted 2 sin^2(4 Omega_n t)
-  (``otoc_analytic``) doubles the phase argument; its deviation is printed
-  and its disagreement is pinned in test_quantum_channel.py;
+  doubles the phase argument; its deviation is printed, and
+  test_quantum_channel.py pins its disagreement with the closed form and with
+  the full Tavis-Cummings model at n = 0;
 * criterion 7d checks tolerance proportionality of the adaptive DP45:
   halving the tolerance halves the endpoint defect, a ratio within
   [1.8, 2.3] (a stepper that ignores tol gives ~1, per-unit-step control
@@ -134,7 +135,7 @@ def test_criterion_3_quantum_channel_analytic_match():
         f"the exact propagator evaluation of the Bell-state OTOC departs from "
         f"1 - cos(2 (E2 - E3) t) = 1 - cos(4 Omega_n t), the closed form fixed by "
         f"the documented eigensystem, by {worst_closed:.3e} (bound 1e-10).  The "
-        f"quoted 2 sin^2(4 Omega_n t) (otoc_analytic) is not the reference: it "
+        f"quoted 2 sin^2(4 Omega_n t) is not the reference: it "
         f"would need E2 - E3 = 4 Omega_n and deviates by {worst_printed:.3e}."
     )
 

@@ -644,9 +644,11 @@ class TestCli:
 
     def test_thermal_cross_check_failure_is_an_integration_error(self, tmp_path, capsys,
                                                                  monkeypatch):
-        # a wrong Gibbs factor, the maximally mixed state of concurrence 0
-        monkeypatch.setattr(quantum_channel, "_gibbs_factor",
-                            lambda p: np.eye(4, dtype=complex) / 2)
+        # a Wootters route that reads concurrence 0 everywhere; a wrong Gibbs
+        # factor would fail the thermal OTOC check first, since thermal_density
+        # is built from the same factor
+        monkeypatch.setattr(quantum_channel, "_wootters_tau",
+                            lambda X: np.zeros(X.shape[:-2] + (X.shape[-1],) * 2, complex))
         code = main(self.NEAR_PURE_BELL + ["--out", str(tmp_path / "x.csv")])
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
@@ -916,6 +918,25 @@ class TestCli:
 
     def test_overflowing_duffing_force(self, tmp_path):
         self.assert_one_json_error_line(["--set", "x1=1e60", "--set", "xi=1"], tmp_path)
+
+    def test_non_finite_locus_is_null_in_strict_json(self, tmp_path):
+        # 2 gamma overflows to inf inside the rhs without raising, and the
+        # first step size is NaN: the error object used to carry "h": NaN,
+        # which no strict JSON parser accepts
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        run = self.run_cli_process(["run", "--scenario", "fig2", "--set", "gamma=1e308",
+                                    "--set", "F=1", "--t-end", "1",
+                                    "--out", str(tmp_path / "x.csv")], tmp_path)
+        assert run.returncode == 3, run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        err = json.loads(lines[0], parse_constant=reject)["error"]
+        assert err["category"] == "integration"
+        assert "non-finite step size nan" in err["message"]
+        assert err["t"] == 0.0 and err["h"] is None and err["err_norm"] is None
+        assert not (tmp_path / "x.csv").exists()
 
     def test_integration_error_names_the_exception_class(self, tmp_path, capsys):
         # x1 = 1e150 overflows the first evaluation of the right-hand side

@@ -11,10 +11,10 @@ from spinchannel.correlators import otoc_product
 from spinchannel.hybrid_dynamics import (RENORM_THRESHOLD, HybridState,
                                          IntegrationDiagnostics, IntegrationError,
                                          OscParams, Regime, RegimeError, _coupling_operators,
-                                         _guard_step, _hybrid_rhs, _polar_projection,
-                                         _real_form, _spin_maps, classical_energy,
-                                         energy_budget, integrate, propagate_nofeedback,
-                                         separability_defect)
+                                         _fix_samples, _guard_step, _hybrid_rhs,
+                                         _polar_projection, _real_form, _spin_maps,
+                                         classical_energy, energy_budget, integrate,
+                                         propagate_nofeedback, separability_defect)
 from spinchannel.runner import run_scenario
 from spinchannel.spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
                                       expm_hermitian, pauli)
@@ -129,10 +129,12 @@ class TestDerivative:
 
     def test_schroedinger_term(self):
         s = initial()
-        d = derivative(s, weak_k(), SP)
+        U = expm_hermitian(build_spin_hamiltonian(0.3, -0.2, SP), 0.7)
+        d = derivative(s, weak_k(), SP, U)
         H = build_spin_hamiltonian(s.x1, s.x2, SP)
         assert np.allclose(d.psi, -1j * (H @ s.psi), atol=0)
-        assert np.allclose(d.U, -1j * (H @ s.U), atol=0)
+        assert np.allclose(d.U, -1j * (H @ U), atol=0)
+        assert np.allclose(derivative(s, weak_k(), SP).U, -1j * H, atol=0)
 
 
 def random_unitary(values):
@@ -166,7 +168,7 @@ class TestHybridRhs:
         dy = np.empty(36)
         _hybrid_rhs(op, sp, phi0)(t, y, dy)
         x1, v1, x2, v2 = xv
-        d = derivative(HybridState(t=t, x1=x1, v1=v1, x2=x2, v2=v2, psi=U @ phi0, U=U), op, sp)
+        d = derivative(HybridState(t=t, x1=x1, v1=v1, x2=x2, v2=v2, psi=U @ phi0), op, sp, U)
         assert np.abs(dy[:4] - [d.x1, d.v1, d.x2, d.v2]).max() <= 1e-13
         assert np.abs(dy[4:].view(complex).reshape(4, 4) - d.U).max() <= 1e-13
 
@@ -318,14 +320,15 @@ class TestPolarProjection:
         assert info.value.h is not None and info.value.h > 0.0
 
     def test_failure_in_a_sample_is_an_integration_error(self):
-        bad = HybridState(t=0.0, x1=1.0, v1=0.0, x2=0.0, v2=0.0, psi=PSI01,
-                          U=2.0 * np.eye(4, dtype=complex))
-        with pytest.raises(IntegrationError, match="t = 0.0"):
-            integrate(bad, weak_k(), SP, 0.0, 0.1, 1e-9)
+        # the sample fix-up of a zero-length run, whose one sample is 2 I
+        bad = 2.0 * np.eye(4, dtype=complex)[None]
+        with pytest.raises(IntegrationError, match=r"projection of the samples at "
+                           r"t = 0\.0\.\.0\.0 failed: .*unitary"):
+            _fix_samples(bad, PSI01, np.array([0.0]), IntegrationDiagnostics())
 
 
 class TestGuardStep:
-    """The accepted-step guard takes the norm drift of psi = U phi0 from the
+    """The accepted-step guard takes the norm drift of psi = U psi0 from the
     Gram matrix G = U^dagger U it forms for the unitarity defect."""
 
     @settings(max_examples=80, deadline=None)
@@ -514,9 +517,13 @@ class TestIntegrate:
         assert series.otoc.max() < 1e-8
 
     def test_custom_probe_pair(self):
-        ops = (embed(pauli("x"), 1), embed(pauli("x"), 2))
-        series = integrate(initial(), weak_k(), SP, 5.0, 0.1, 1e-9, otoc_ops=ops)
-        assert series.otoc.max() < 1e-8  # still a product propagator
+        # other probes on the sampled propagators: the call integrate makes
+        # for sigma1_z, sigma2_z
+        series = integrate(initial(), weak_k(), SP, 5.0, 0.1, 1e-9)
+        rec = otoc_product(series.Us, series.psi0, embed(pauli("x"), 1), embed(pauli("x"), 2))
+        assert rec.C.max() < 1e-8  # still a product propagator
+        z = otoc_product(series.Us, series.psi0, embed(pauli("z"), 1), embed(pauli("z"), 2))
+        assert np.array_equal(z.C, series.otoc) and np.array_equal(z.G2, series.two_point)
 
     def test_time_reversal_short(self):
         # autonomous and real Hamiltonian: v -> -v, psi -> conj(psi) rewinds
@@ -560,7 +567,7 @@ class TestStackedEmission:
             assert abs(s.h_nv[k] - np.vdot(psi, Z4 @ psi).real) <= 1e-14
             assert abs(s.v_int[k] - sp.g * (s.x1[k] * f1 + s.x2[k] * f2)) <= 1e-14
             state = HybridState(t=s.t[k], x1=float(s.x1[k]), v1=float(s.v1[k]),
-                                x2=float(s.x2[k]), v2=float(s.v2[k]), psi=psi, U=U)
+                                x2=float(s.x2[k]), v2=float(s.v2[k]), psi=psi)
             assert abs(s.h0[k] - classical_energy(state, op)) <= 1e-14
 
     def test_projected_samples_are_unitary(self, fig2):
@@ -605,10 +612,10 @@ class TestRandomizedInvariants:
         W = embed(unitary_from_angles(*probes[:3]), 1)
         V = embed(unitary_from_angles(*probes[3:]), 2)
         op = OscParams.from_connectivity(1.0, 1.5, K, xi=xi)
-        series = integrate(initial(psi=psi0, x1=x1), op, SP, 5.0, 0.1, 1e-9,
-                           otoc_ops=(W, V))
+        series = integrate(initial(psi=psi0, x1=x1), op, SP, 5.0, 0.1, 1e-9)
         d = series.diagnostics
         assert series.otoc.max() <= 1e-10
+        assert otoc_product(series.Us, series.psi0, W, V).C.max() <= 1e-10
         assert series.sep_defect.max() <= 1e-10
         assert max(d.max_step_norm_drift, d.max_step_unitarity_defect,
                    d.max_output_norm_drift, d.max_output_unitarity_defect) <= 1e-8

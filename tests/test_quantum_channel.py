@@ -11,7 +11,7 @@ from spinchannel import correlators, quantum_channel
 from spinchannel.config import preset_config
 from spinchannel.quantum_channel import (DENSITY_PSD_TOL, GIBBS_EXPONENT_LIMIT,
                                          QuantumChannelParams, concurrence,
-                                         eigensystem, gme, h_total, otoc_analytic,
+                                         eigensystem, gme, h_total,
                                          otoc_bell_spectral, otoc_numeric,
                                          thermal_concurrence, thermal_density,
                                          thermal_otoc, validate_density)
@@ -19,7 +19,7 @@ from spinchannel.spin_algebra import (_dagger, basis_state, bell_phi_minus, embe
                                       expm_hermitian, pauli)
 
 import oracles
-from oracles import ClassicalLimitRow, classical_limit_report
+from oracles import ClassicalLimitRow, classical_limit_report, tavis_cummings_bell_otoc
 
 FIG8 = dict(omega0=3.0, omega=2.0, g=1.0)
 
@@ -148,15 +148,18 @@ class TestEigensystem:
 
 
 class TestBellOtoc:
+    """``otoc_bell_spectral`` is the one closed form of the Bell-state OTOC
+    (the "analytic" one of these tests)."""
+
     def test_analytic_at_zero(self):
-        assert otoc_analytic(params(), 0.0) == 0.0
+        assert otoc_bell_spectral(params(), 0.0) == 0.0
 
     def test_analytic_peak(self):
         p = params()  # Omega_n = 1
-        assert otoc_analytic(p, math.pi / 8) == pytest.approx(2.0)
+        assert otoc_bell_spectral(p, math.pi / 4) == pytest.approx(2.0)
 
     def test_analytic_classical_limit(self):
-        assert otoc_analytic(params(n=1e12), 5.0) < 1e-20
+        assert otoc_bell_spectral(params(n=1e12), 5.0) < 1e-20
 
     def test_numeric_at_zero(self):
         assert otoc_numeric(params(), 0.0) == pytest.approx(0.0, abs=1e-14)
@@ -170,13 +173,14 @@ class TestBellOtoc:
                                                            abs=1e-12)
 
     def test_analytic_and_spectral_forms_disagree(self):
-        # The two closed forms differ by a factor of two in the phase
-        # argument; they agree only at isolated times.  This pins down a
-        # known inconsistency instead of letting either form drift.
+        # The paper prints 2 sin^2(4 Omega_n t), which doubles the phase
+        # argument of 1 - cos(4 Omega_n t) = 2 sin^2(2 Omega_n t); the two
+        # agree only at isolated times.  TestTavisCummings shows which one
+        # the full model follows.
         p = params()
         ts = np.linspace(0.0, 3.0, 301)
-        gap = max(abs(otoc_analytic(p, t) - otoc_bell_spectral(p, t)) for t in ts)
-        assert gap > 1.5
+        printed = 2.0 * np.sin(4.0 * p.Omega_n * ts) ** 2
+        assert np.abs(printed - otoc_bell_spectral(p, ts)).max() > 1.5
 
     def test_numeric_on_zeeman_eigenstate_vs_brute_force(self):
         p = params(n=2.0)
@@ -193,6 +197,34 @@ class TestBellOtoc:
         p = params(n=10.0)
         revival = math.pi / (2 * p.Omega_n)
         assert otoc_numeric(p, revival) == pytest.approx(0.0, abs=1e-10)
+
+
+class TestTavisCummings:
+    """At n = 0 the dense two-spin Tavis-Cummings model (tests/oracles.py)
+    follows the closed form 1 - cos(4 Omega_n t) and not the printed
+    2 sin^2(4 Omega_n t).  Dispersive parameters: g/Delta = 0.02 with
+    Delta = omega0 - omega = 1, so 4 Omega_n t reaches 2.7 by t = 1700.  The
+    elimination of the mode is exact only to leading order in
+    (g/Delta)^2 = 4e-4: the full model's frequency is 0.25% lower, and the
+    gap grows with the phase.  The largest gap measured at these times is
+    4.3e-3 (t = 1000); the bound is 25 (g/Delta)^2 = 1e-2."""
+
+    TS = np.array([500.0, 1000.0, 1700.0])
+    P = QuantumChannelParams(omega0=3.0, omega=2.0, g=0.02, n=0.0)
+
+    def test_full_model_follows_the_spectral_form(self):
+        full = tavis_cummings_bell_otoc(3.0, 2.0, 0.02, self.TS, n=0, cutoff=4)
+        assert np.abs(full - [0.3035, 1.0249, 1.9116]).max() < 1e-4
+        # the Bell start holds one excitation: a larger cutoff changes nothing
+        assert np.abs(full - tavis_cummings_bell_otoc(3.0, 2.0, 0.02, self.TS, n=0,
+                                                      cutoff=8)).max() < 1e-12
+        assert np.abs(full - otoc_bell_spectral(self.P, self.TS)).max() <= 25 * 0.02**2
+        assert np.abs(full - otoc_numeric(self.P, self.TS)).max() <= 25 * 0.02**2
+
+    def test_full_model_departs_from_the_printed_form(self):
+        full = tavis_cummings_bell_otoc(3.0, 2.0, 0.02, self.TS, n=0, cutoff=4)
+        printed = 2.0 * np.sin(4.0 * self.P.Omega_n * self.TS) ** 2
+        assert (np.abs(full - printed) >= 0.5).all()
 
 
 class TestThermalDensity:
@@ -683,7 +715,9 @@ class TestThermalConcurrence:
             q = QuantumChannelParams(omega0=omega0, omega=omega0 + d, g=g, n=n)
             widest = max(2 * abs(q.zeeman), abs(q.Omega_n))
             p = dataclasses.replace(q, beta=GIBBS_EXPONENT_LIMIT / widest * rng.uniform(0.1, 1.0))
-            if 1.0 - max(w for w, _ in quantum_channel._gibbs_weights(p)) > 1e-12:
+            # the Boltzmann weights are the squared column norms of the Gibbs factor
+            weights = np.linalg.norm(quantum_channel._gibbs_factor(p), axis=0) ** 2
+            if 1.0 - weights.max() > 1e-12:
                 continue
             c = thermal_concurrence(p, rng.uniform(0.0, 100.0, 32))
             if zeeman_free:
@@ -796,6 +830,13 @@ class TestTimeGrid:
         c = concurrence(rhos)
         assert np.array_equal(c, [concurrence(r) for r in rhos])
         assert np.array_equal(gme(c), [gme(v) for v in c])
+
+    @pytest.mark.parametrize("evaluator", [otoc_numeric, thermal_otoc, thermal_concurrence])
+    def test_empty_grid_gives_an_empty_result(self, evaluator):
+        # an empty grid has no point to cross-check; it used to raise numpy's
+        # "attempt to get argmax of an empty sequence" in the thermal checks
+        result = evaluator(params(n=3.0, beta=0.5), np.array([]))
+        assert isinstance(result, np.ndarray) and result.shape == (0,)
 
     def test_scalar_time_gives_scalars(self):
         p = params(n=2.0, beta=0.5)

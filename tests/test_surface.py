@@ -27,16 +27,17 @@ PACKAGE_EXPORTS = {
     "propagate_nofeedback",
     "CorrelatorRecord", "otoc_product",
     "QuantumChannelParams", "concurrence", "eigensystem", "gme", "h_total",
-    "otoc_analytic", "otoc_bell_spectral", "otoc_numeric", "thermal_concurrence",
+    "otoc_bell_spectral", "otoc_numeric", "thermal_concurrence",
     "thermal_density", "thermal_otoc",
     "ScenarioConfig", "parse_config", "preset_config", "render_config",
     "RunResult", "run_scenario", "sweep", "write_output",
 }
 
-# moved to tests/oracles.py, or deleted (connectivity)
+# moved to tests/oracles.py, or deleted (connectivity; otoc_analytic, the printed
+# Bell-state OTOC, which the closed form and the full model contradict)
 REMOVED = ["derivative", "build_spin_hamiltonian", "site_hamiltonian", "_real_expectation",
            "connectivity", "otoc_commutator", "two_point", "expectation", "commutator",
-           "classical_limit_report", "ClassicalLimitRow"]
+           "classical_limit_report", "ClassicalLimitRow", "otoc_analytic"]
 
 
 def modules():
@@ -70,6 +71,9 @@ def test_removed_knobs_are_gone():
     assert list(inspect.signature(spinchannel.otoc_product).parameters) == ["U", "psi0", "W", "V"]
     assert [f.name for f in dataclasses.fields(spinchannel.CorrelatorRecord)] == ["F", "C", "G2"]
     assert "t0" not in inspect.signature(spinchannel.propagate_nofeedback).parameters
+    # integrate starts from U = I and samples the sigma_z probes
+    assert "otoc_ops" not in inspect.signature(spinchannel.integrate).parameters
+    assert "U" not in [f.name for f in dataclasses.fields(spinchannel.HybridState)]
 
 
 def library_snippet() -> str:
@@ -84,6 +88,8 @@ def test_readme_library_snippet_runs(capsys):
         warnings.simplefilter("error")
         exec(compile(code, "README.md (Library use)", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    # the comments' claims: no mean-field signal, a quantum-channel one
+    # the comments' claims: no mean-field signal for either probe pair, a
+    # quantum-channel one
     assert float(lines[0]) < 1e-10
-    assert float(lines[2]) > 0.1
+    assert float(lines[1]) < 1e-10
+    assert float(lines[3]) > 0.1
