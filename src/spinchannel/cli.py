@@ -151,9 +151,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_presets(_args) -> int:
     for name in preset_names():
         cfg = preset_config(name)
-        fields = PRESETS[name]
-        keys = ", ".join(f"{k}={v}" for k, v in sorted(fields.items())
-                         if k not in ("note", "kind") and not isinstance(v, str))
+        keys = ", ".join(f"{k}={v}" for k, v in sorted(PRESETS[name].items()) if k != "note")
         print(f"{name:6s} [{cfg.kind}] {cfg.note}")
         print(f"       {keys}")
     return EXIT_OK

@@ -1,8 +1,11 @@
 """Scenario configuration: flat key = value text with [sections].
 
 A configuration either names a preset scenario (fig2..fig8) or describes a
-custom run.  Parsing is line-aware so unknown keys, malformed values and
-regime-inconsistent parameters are reported with the offending line number.
+custom run.  Each ``ScenarioConfig`` field declares its ``[section] key``
+and caster once, and ``SCHEMA`` is derived from the fields; a preset states
+only the fields in which it differs from the defaults.  Parsing is
+line-aware so unknown keys, malformed values and regime-inconsistent
+parameters are reported with the offending line number.
 ``render_config`` emits a canonical text that parses back to an identical
 configuration.  Config files, ``--set`` and sweeps apply their overrides
 through ``apply_overrides``: giving one of K/D or T/beta resets the other.
@@ -11,7 +14,7 @@ through ``apply_overrides``: giving one of K/D or T/beta resets the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,125 +57,49 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(_float(part) for part in text.split(","))
 
 
-# section -> key -> (ScenarioConfig attribute, caster)
-SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "scenario": {"name": ("name", str), "kind": ("kind", str)},
-    "spin": {
-        "omega0": ("spin_omega0", _float),
-        "g": ("spin_g", _float),
-        "alpha": ("alpha", _float),
-    },
-    "oscillators": {
-        "omega1": ("omega1", _float),
-        "omega2": ("omega2", _float),
-        "D": ("D", _float),
-        "K": ("K", _float),
-        "xi": ("xi", _float),
-        "gamma": ("gamma", _float),
-        "F": ("F", _float),
-        "Omega": ("Omega", _float),
-    },
-    "quantum": {
-        "omega0": ("q_omega0", _float),
-        "omega": ("q_omega", _float),
-        "g": ("q_g", _float),
-        "n": ("n_values", _float_list),
-        "T": ("temperature", _float),
-        "beta": ("beta", _float),
-    },
-    "initial": {
-        "state": ("state", str),
-        "amplitudes": ("amplitudes", _float_list),
-        "x1": ("x1", _float),
-        "v1": ("v1", _float),
-        "x2": ("x2", _float),
-        "v2": ("v2", _float),
-    },
-    "run": {
-        "t_end": ("t_end", _float),
-        "dt_out": ("dt_out", _float),
-        "tol": ("tol", _float),
-    },
-    "output": {"path": ("out_path", str), "format": ("out_format", str)},
-}
-
-
-def resolve_field(key: str) -> tuple[str, object]:
-    """Map 'section.key' or an unambiguous bare key to its (ScenarioConfig
-    attribute, caster) pair."""
-    if "." in key:
-        section, bare = key.split(".", 1)
-        matches = [(section, bare)] if bare in SCHEMA.get(section, {}) else []
-    else:
-        matches = [(section, key) for section, keys in SCHEMA.items() if key in keys]
-    if not matches:
-        raise ConfigError(f"unknown config field {key!r}")
-    if len(matches) > 1:
-        options = ", ".join(f"{section}.{bare}" for section, bare in matches)
-        raise ConfigError(f"ambiguous field {key!r}; qualify as one of: {options}")
-    section, bare = matches[0]
-    return SCHEMA[section][bare]
-
-
-# Each pair gives one quantity two ways (K sets D; T sets beta).  Overrides
-# that give one field of a pair reset the other to its default, so the given
-# one takes effect; overrides that give both keep both, and validate checks
-# that K and D agree (T takes precedence over beta).
-_ALTERNATIVES = (("K", "D"), ("temperature", "beta"))
-
-
-def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, object]) -> ScenarioConfig:
-    """cfg with the given attributes replaced, resetting the other field of
-    each K/D and T/beta pair of which the overrides give only one."""
-    reset = {}
-    for pair in _ALTERNATIVES:
-        given = [attr for attr in pair if attr in overrides]
-        if len(given) == 1:
-            other = pair[1 - pair.index(given[0])]
-            reset[other] = _DEFAULTS[other]
-    return replace(cfg, **reset, **overrides)
+def _key(section: str, key: str, caster, default):
+    """A ScenarioConfig field that ``[section] key`` sets through ``caster``."""
+    return field(default=default, metadata={"key": (section, key, caster)})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved run description (flat view of every config key)."""
+    """Fully resolved run description (flat view of every config key).
 
-    name: str = "custom"
-    kind: str = "hybrid"
-    # spin (hybrid channel)
-    spin_omega0: float = 1.5
-    spin_g: float = 1.0
-    alpha: float = math.pi / 3
-    # oscillators
-    omega1: float = 1.0
-    omega2: float = 1.5
-    D: float | None = None
-    K: float | None = None
-    xi: float = 0.0
-    gamma: float = 0.0
-    F: float = 0.0
-    Omega: float = 1.0
-    # quantum channel
-    q_omega0: float = 3.0
-    q_omega: float = 2.0
-    q_g: float = 1.0
-    n_values: tuple[float, ...] = (0.0,)
-    temperature: float | None = None
-    beta: float = 0.0
-    # initial conditions
-    state: str = "01"
-    amplitudes: tuple[float, ...] | None = None
-    x1: float = 1.0
-    v1: float = 0.0
-    x2: float = 0.0
-    v2: float = 0.0
-    # run control
-    t_end: float = 100.0
-    dt_out: float | None = None
-    tol: float = 1e-9
-    # output
-    out_path: str | None = None
-    out_format: str = "csv"
+    The defaults are the hybrid set-up that the presets share; the initial
+    x1(0) = 1 is a package choice, recorded so every run is reproducible.
+    """
+
+    name: str = _key("scenario", "name", str, "custom")
+    kind: str = _key("scenario", "kind", str, "hybrid")
+    spin_omega0: float = _key("spin", "omega0", _float, 1.5)
+    spin_g: float = _key("spin", "g", _float, 1.0)
+    alpha: float = _key("spin", "alpha", _float, math.pi / 3)
+    omega1: float = _key("oscillators", "omega1", _float, 1.0)
+    omega2: float = _key("oscillators", "omega2", _float, 1.5)
+    D: float | None = _key("oscillators", "D", _float, None)
+    K: float | None = _key("oscillators", "K", _float, None)
+    xi: float = _key("oscillators", "xi", _float, 0.0)
+    gamma: float = _key("oscillators", "gamma", _float, 0.0)
+    F: float = _key("oscillators", "F", _float, 0.0)  # one common drive on both oscillators
+    Omega: float = _key("oscillators", "Omega", _float, 1.0)
+    q_omega0: float = _key("quantum", "omega0", _float, 3.0)
+    q_omega: float = _key("quantum", "omega", _float, 2.0)
+    q_g: float = _key("quantum", "g", _float, 1.0)
+    n_values: tuple[float, ...] = _key("quantum", "n", _float_list, (0.0,))
+    temperature: float | None = _key("quantum", "T", _float, None)
+    beta: float = _key("quantum", "beta", _float, 0.0)
+    state: str = _key("initial", "state", str, "01")
+    amplitudes: tuple[float, ...] | None = _key("initial", "amplitudes", _float_list, None)
+    x1: float = _key("initial", "x1", _float, 1.0)
+    v1: float = _key("initial", "v1", _float, 0.0)
+    x2: float = _key("initial", "x2", _float, 0.0)
+    v2: float = _key("initial", "v2", _float, 0.0)
+    t_end: float = _key("run", "t_end", _float, 100.0)
+    dt_out: float | None = _key("run", "dt_out", _float, None)
+    tol: float = _key("run", "tol", _float, 1e-9)
+    out_path: str | None = _key("output", "path", str, None)
+    out_format: str = _key("output", "format", str, "csv")
     note: str = ""
 
     # -- derived views -------------------------------------------------------
@@ -261,6 +188,8 @@ class ScenarioConfig:
                 what = "a squared oscillator frequency"
                 _check_finite(**{"omega1^2": op.omega1 * op.omega1,
                                  "omega2^2": op.omega2 * op.omega2})
+                what = "the damping factor 2 gamma"
+                _check_finite(**{"2 gamma": 2.0 * op.gamma})
                 Regime.classify(op)
                 self.spin_params()
                 runs = 1
@@ -283,37 +212,72 @@ class ScenarioConfig:
         return self
 
 
+def _schema() -> dict[str, dict[str, tuple[str, object]]]:
+    """section -> key -> (ScenarioConfig attribute, caster), in field order."""
+    schema: dict[str, dict[str, tuple[str, object]]] = {}
+    for f in fields(ScenarioConfig):
+        if "key" in f.metadata:
+            section, key, caster = f.metadata["key"]
+            schema.setdefault(section, {})[key] = (f.name, caster)
+    return schema
+
+
+SCHEMA = _schema()
+
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
 
-# -- presets ------------------------------------------------------------------
-# Named figure scenarios.  Hybrid presets share the common spin/oscillator
-# frequencies, alpha = pi/3, g = 1, and the default initial displacement
-# x1(0) = 1 (initial oscillator conditions are a package choice, recorded in
-# the config so every run is reproducible).  F is a single common drive
-# applied to both oscillators.
+def resolve_field(key: str) -> tuple[str, object]:
+    """Map 'section.key' or an unambiguous bare key to its (ScenarioConfig
+    attribute, caster) pair."""
+    if "." in key:
+        section, bare = key.split(".", 1)
+        matches = [(section, bare)] if bare in SCHEMA.get(section, {}) else []
+    else:
+        matches = [(section, key) for section, keys in SCHEMA.items() if key in keys]
+    if not matches:
+        raise ConfigError(f"unknown config field {key!r}")
+    if len(matches) > 1:
+        options = ", ".join(f"{section}.{bare}" for section, bare in matches)
+        raise ConfigError(f"ambiguous field {key!r}; qualify as one of: {options}")
+    section, bare = matches[0]
+    return SCHEMA[section][bare]
 
-_HYBRID_BASE = dict(kind="hybrid", spin_omega0=1.5, spin_g=1.0, alpha=math.pi / 3,
-                    omega1=1.0, omega2=1.5, state="01",
-                    x1=1.0, v1=0.0, x2=0.0, v2=0.0,
-                    t_end=100.0, tol=1e-9)
+
+# Each pair gives one quantity two ways (K sets D; T sets beta).  Overrides
+# that give one field of a pair reset the other to its default, so the given
+# one takes effect; overrides that give both keep both, and validate checks
+# that K and D agree (T takes precedence over beta).
+_ALTERNATIVES = (("K", "D"), ("temperature", "beta"))
+
+
+def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, object]) -> ScenarioConfig:
+    """cfg with the given attributes replaced, resetting the other field of
+    each K/D and T/beta pair of which the overrides give only one."""
+    reset = {}
+    for pair in _ALTERNATIVES:
+        given = [attr for attr in pair if attr in overrides]
+        if len(given) == 1:
+            other = pair[1 - pair.index(given[0])]
+            reset[other] = _DEFAULTS[other]
+    return replace(cfg, **reset, **overrides)
+
+
+# -- presets ------------------------------------------------------------------
+# Named figure scenarios: the ScenarioConfig defaults plus the fields below.
 
 PRESETS: dict[str, dict] = {
-    "fig2": dict(_HYBRID_BASE, K=0.1, xi=0.0, gamma=0.0, F=0.0,
-                 note="autonomous linear oscillators, weak connectivity"),
-    "fig3": dict(_HYBRID_BASE, K=10.0, xi=0.0, gamma=0.0, F=0.0,
-                 note="autonomous linear oscillators, strong connectivity"),
-    "fig4": dict(_HYBRID_BASE, K=0.1, xi=1.0, gamma=0.0, F=0.0,
-                 note="autonomous nonlinear oscillators, weak connectivity"),
-    "fig5": dict(_HYBRID_BASE, K=0.1, xi=1.0, gamma=0.15, F=0.5, Omega=1.0,
+    "fig2": dict(K=0.1, note="autonomous linear oscillators, weak connectivity"),
+    "fig3": dict(K=10.0, note="autonomous linear oscillators, strong connectivity"),
+    "fig4": dict(K=0.1, xi=1.0, note="autonomous nonlinear oscillators, weak connectivity"),
+    "fig5": dict(K=0.1, xi=1.0, gamma=0.15, F=0.5,
                  note="driven nonlinear oscillators, weak connectivity; "
                       "F is one common drive on both oscillators"),
-    "fig6": dict(_HYBRID_BASE, K=10.0, xi=1.0, gamma=0.15, F=0.5, Omega=1.0,
+    "fig6": dict(K=10.0, xi=1.0, gamma=0.15, F=0.5,
                  note="driven nonlinear oscillators, strong connectivity; "
                       "F is one common drive on both oscillators"),
-    "fig8": dict(kind="quantum", q_omega0=3.0, q_omega=2.0, q_g=1.0,
-                 n_values=(10.0, 100.0, 1000.0, 10000.0), temperature=100.0,
-                 state="phi_minus", t_end=100.0, tol=1e-9,
+    "fig8": dict(kind="quantum", n_values=(10.0, 100.0, 1000.0, 10000.0), temperature=100.0,
+                 state="phi_minus",
                  note="thermal OTOC through the quantum channel at decreasing quantumness"),
 }
 # the note is not rendered, so fig7's CSV is fig3's bytes
@@ -327,11 +291,11 @@ def preset_names() -> list[str]:
 
 def preset_config(name: str) -> ScenarioConfig:
     try:
-        fields = PRESETS[name]
+        own = PRESETS[name]
     except KeyError:
         raise ConfigError(f"unknown scenario {name!r}; available: {', '.join(preset_names())}") \
             from None
-    return ScenarioConfig(name=name, **fields)
+    return ScenarioConfig(name=name, **own)
 
 
 # -- parsing / rendering -------------------------------------------------------

@@ -141,7 +141,7 @@ class DormandPrince45:
         self._h_last = 0.0
         self._err_prev = 1.0
         self.err_norm = None
-        self._h = min(self._initial_step(), self.t_end - self.t)
+        self._h = self._initial_step()
 
     # -- step size machinery -------------------------------------------------
 
@@ -177,7 +177,8 @@ class DormandPrince45:
 
     @property
     def h(self) -> float:
-        """Size of the step being tried, or of the next one."""
+        """The controller's size of the step being tried, or of the next one,
+        before it is clipped to land on t_end."""
         return self._h
 
     def step(self) -> bool:
@@ -191,13 +192,15 @@ class DormandPrince45:
         self._KtP = None
         K[0] = self.f
         while True:
+            # the floor tests the controller's step; clipped to land on t_end,
+            # the last step may be shorter than the floor
             h = self._h
-            if t + h > t_end:
-                h = t_end - t
             if not math.isfinite(h):
                 raise FloatingPointError(f"non-finite step size {h!r} at t = {t!r}")
             if h < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError(t, h, self.err_norm)
+            if t + h > t_end:
+                h = t_end - t
             # y + h (A_i . K[:i]), in place in a; the derivative into K[i]
             for i in range(1, 6):
                 _A[i].dot(K_prefix[i], a)

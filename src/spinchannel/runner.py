@@ -17,8 +17,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import quantum_channel as qc
-from .config import (ConfigError, ScenarioConfig, apply_overrides, render_config,
-                     resolve_field, _float, _float_list)
+from .config import ConfigError, ScenarioConfig, apply_overrides, render_config, resolve_field
 from .hybrid_dynamics import HybridState, Regime, TimeSeries, _grid_intervals, integrate
 from .spin_algebra import _rdot, expm_hermitian
 
@@ -102,7 +101,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values: list[float]) -> list[RunR
     failure propagates with the offending value named).
     """
     attr, caster = resolve_field(parameter)
-    if caster not in (_float, _float_list):
+    if caster is str:
         raise ConfigError(f"{parameter!r} is not a numeric field")
     results = []
     for value in values:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from spinchannel import quantum_channel
 from spinchannel.cli import main
-from spinchannel.config import (ConfigError, ScenarioConfig, apply_overrides, parse_config,
-                                preset_config, preset_names, render_config)
+from spinchannel.config import (SCHEMA, ConfigError, ScenarioConfig, apply_overrides,
+                                parse_config, preset_config, preset_names, render_config,
+                                resolve_field)
 from spinchannel.hybrid_dynamics import IntegrationDiagnostics, OscParams, TimeSeries
 from spinchannel.quantum_channel import GIBBS_EXPONENT_LIMIT
 from spinchannel.runner import (CSV_BLOCK_ROWS, HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER,
@@ -40,6 +42,57 @@ CAPTION_TABLE = {
                  n_values=(10.0, 100.0, 1000.0, 10000.0)),
 }
 
+# every field of every preset, written out in full and independently of the
+# ScenarioConfig defaults, so that a changed default cannot move a preset
+_COMMON_FIELDS = dict(
+    kind="hybrid", spin_omega0=1.5, spin_g=1.0, alpha=math.pi / 3, omega1=1.0, omega2=1.5,
+    D=None, K=None, xi=0.0, gamma=0.0, F=0.0, Omega=1.0, q_omega0=3.0, q_omega=2.0, q_g=1.0,
+    n_values=(0.0,), temperature=None, beta=0.0, state="01", amplitudes=None,
+    x1=1.0, v1=0.0, x2=0.0, v2=0.0, t_end=100.0, dt_out=None, tol=1e-9,
+    out_path=None, out_format="csv")
+PRESET_FIELDS = {
+    "fig2": dict(_COMMON_FIELDS, name="fig2", K=0.1,
+                 note="autonomous linear oscillators, weak connectivity"),
+    "fig3": dict(_COMMON_FIELDS, name="fig3", K=10.0,
+                 note="autonomous linear oscillators, strong connectivity"),
+    "fig4": dict(_COMMON_FIELDS, name="fig4", K=0.1, xi=1.0,
+                 note="autonomous nonlinear oscillators, weak connectivity"),
+    "fig5": dict(_COMMON_FIELDS, name="fig5", K=0.1, xi=1.0, gamma=0.15, F=0.5,
+                 note="driven nonlinear oscillators, weak connectivity; "
+                      "F is one common drive on both oscillators"),
+    "fig6": dict(_COMMON_FIELDS, name="fig6", K=10.0, xi=1.0, gamma=0.15, F=0.5,
+                 note="driven nonlinear oscillators, strong connectivity; "
+                      "F is one common drive on both oscillators"),
+    "fig7": dict(_COMMON_FIELDS, name="fig7", K=10.0,
+                 note="alias of fig3: the same run, whose energy budget is the h0, h_nv "
+                      "and v_int columns"),
+    "fig8": dict(_COMMON_FIELDS, name="fig8", kind="quantum",
+                 n_values=(10.0, 100.0, 1000.0, 10000.0), temperature=100.0,
+                 state="phi_minus",
+                 note="thermal OTOC through the quantum channel at decreasing quantumness"),
+}
+
+# every config key, the ScenarioConfig attribute it sets, and whether it is
+# numeric (a sweep target); the bare keys omega0 and g name two fields each
+KEY_FIELDS = {
+    "scenario.name": ("name", False), "scenario.kind": ("kind", False),
+    "spin.omega0": ("spin_omega0", True), "spin.g": ("spin_g", True),
+    "spin.alpha": ("alpha", True),
+    "oscillators.omega1": ("omega1", True), "oscillators.omega2": ("omega2", True),
+    "oscillators.D": ("D", True), "oscillators.K": ("K", True),
+    "oscillators.xi": ("xi", True), "oscillators.gamma": ("gamma", True),
+    "oscillators.F": ("F", True), "oscillators.Omega": ("Omega", True),
+    "quantum.omega0": ("q_omega0", True), "quantum.omega": ("q_omega", True),
+    "quantum.g": ("q_g", True), "quantum.n": ("n_values", True),
+    "quantum.T": ("temperature", True), "quantum.beta": ("beta", True),
+    "initial.state": ("state", False), "initial.amplitudes": ("amplitudes", True),
+    "initial.x1": ("x1", True), "initial.v1": ("v1", True),
+    "initial.x2": ("x2", True), "initial.v2": ("v2", True),
+    "run.t_end": ("t_end", True), "run.dt_out": ("dt_out", True), "run.tol": ("tol", True),
+    "output.path": ("out_path", False), "output.format": ("out_format", False),
+}
+AMBIGUOUS_BARE_KEYS = {"omega0", "g"}
+
 
 def short(cfg, **kw):
     import dataclasses
@@ -53,6 +106,17 @@ class TestPresets:
         for attr, expected in CAPTION_TABLE[name].items():
             assert getattr(cfg, attr) == expected, f"{name}.{attr}"
 
+    @pytest.mark.parametrize("name", sorted(PRESET_FIELDS))
+    def test_every_preset_field_is_pinned(self, name):
+        cfg = preset_config(name)
+        expected = PRESET_FIELDS[name]
+        assert {f.name for f in dataclasses.fields(cfg)} == set(expected)
+        assert len(expected) == 31
+        for attr, want in expected.items():
+            got = getattr(cfg, attr)
+            # the type too: the config echo writes 10.0 and 10 differently
+            assert (type(got), got) == (type(want), want), f"{name}.{attr}"
+
     def test_preset_names(self):
         assert preset_names() == [f"fig{k}" for k in range(2, 9)]
 
@@ -63,6 +127,34 @@ class TestPresets:
     def test_initial_states(self):
         assert preset_config("fig2").state == "01"
         assert preset_config("fig8").state == "phi_minus"
+
+
+class TestConfigKeys:
+    def test_every_key_sets_its_attribute(self):
+        assert {f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys} \
+            == set(KEY_FIELDS)
+        assert len(KEY_FIELDS) == 30
+        for key, (attr, _) in KEY_FIELDS.items():
+            assert resolve_field(key)[0] == attr, key
+
+    @pytest.mark.parametrize("key", sorted(KEY_FIELDS))
+    def test_numeric_keys_are_the_sweep_targets(self, key):
+        # an empty value list checks the target and runs nothing
+        if KEY_FIELDS[key][1]:
+            assert sweep(preset_config("fig2"), key, []) == []
+        else:
+            with pytest.raises(ConfigError, match="not a numeric field"):
+                sweep(preset_config("fig2"), key, [])
+
+    def test_ambiguous_bare_keys(self):
+        bare_keys = {key.split(".", 1)[1] for key in KEY_FIELDS}
+        for bare in bare_keys:
+            if bare in AMBIGUOUS_BARE_KEYS:
+                with pytest.raises(ConfigError, match="ambiguous"):
+                    resolve_field(bare)
+            else:
+                assert resolve_field(bare) == resolve_field(
+                    next(key for key in KEY_FIELDS if key.endswith(f".{bare}")))
 
 
 class TestParseConfig:
@@ -182,7 +274,7 @@ _POSITIVE = st.floats(1e-3, 50.0)
 _SHARED_FIELDS = {"x1": _NUMBER, "v1": _NUMBER, "x2": _NUMBER, "v2": _NUMBER,
                   "t_end": st.floats(0.0, 1e3), "dt_out": st.one_of(st.none(), _POSITIVE),
                   "tol": st.floats(1e-12, 1e-4), "out_format": st.sampled_from(["csv", "json"])}
-_HYBRID_FIELDS = {"spin_omega0": _POSITIVE, "spin_g": _NUMBER, "alpha": _NUMBER,
+_COMMON_FIELDS = {"spin_omega0": _POSITIVE, "spin_g": _NUMBER, "alpha": _NUMBER,
                   "omega1": _POSITIVE, "omega2": _POSITIVE, "xi": _NUMBER, "Omega": _NUMBER}
 _QUANTUM_FIELDS = {"q_omega0": _NUMBER, "q_omega": _NUMBER, "q_g": _NUMBER,
                    "n_values": st.lists(st.floats(0.0, 1e4), min_size=1, max_size=5).map(tuple),
@@ -200,7 +292,7 @@ def valid_configs(draw):
     else:
         base = preset_config(name)
     fields = dict(_SHARED_FIELDS)
-    fields.update(_HYBRID_FIELDS if base.kind == "hybrid" else _QUANTUM_FIELDS)
+    fields.update(_COMMON_FIELDS if base.kind == "hybrid" else _QUANTUM_FIELDS)
     overrides = draw(st.fixed_dictionaries({}, optional=fields))
     if base.kind == "hybrid":
         # a regime needs F and gamma both zero or both nonzero
@@ -548,6 +640,9 @@ class TestCli:
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
         assert "fig2" in out and "fig8" in out
+        # each preset's own fields, the ones in which it differs from the defaults
+        assert "fig2   [hybrid] autonomous linear oscillators, weak connectivity\n" \
+               "       K=0.1\n" in out
 
     def test_run_writes_file(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"
@@ -794,6 +889,10 @@ class TestCli:
         ("fig8", ["quantum.omega0=1e308", "quantum.n=0"],
          "the effective coupling Omega0 = g^2/(omega0 - omega) at n = 0.0 overflows: "
          "OverflowError: 2 (Omega0 + omega0R) = inf"),
+        # 2 gamma used to overflow inside the rhs, without raising, into a NaN
+        # step size: an integration error that named neither gamma nor 2 gamma
+        ("fig2", ["gamma=1e308", "F=1"],
+         "the damping factor 2 gamma overflows: OverflowError: 2 gamma = inf"),
     ])
     def test_non_finite_derived_quantity_is_a_config_error(self, scenario, overrides, message,
                                                            tmp_path, capsys):
@@ -920,14 +1019,15 @@ class TestCli:
         self.assert_one_json_error_line(["--set", "x1=1e60", "--set", "xi=1"], tmp_path)
 
     def test_non_finite_locus_is_null_in_strict_json(self, tmp_path):
-        # 2 gamma overflows to inf inside the rhs without raising, and the
-        # first step size is NaN: the error object used to carry "h": NaN,
-        # which no strict JSON parser accepts
+        # the damping and Duffing forces of the first trial step are -inf and
+        # +inf, and the first step size is NaN: the error object used to carry
+        # "h": NaN, which no strict JSON parser accepts
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        run = self.run_cli_process(["run", "--scenario", "fig2", "--set", "gamma=1e308",
-                                    "--set", "F=1", "--t-end", "1",
+        run = self.run_cli_process(["run", "--scenario", "fig2", "--set", "gamma=1e300",
+                                    "--set", "F=1", "--set", "v1=1e10", "--set", "xi=-1e300",
+                                    "--set", "x1=1e5", "--t-end", "1",
                                     "--out", str(tmp_path / "x.csv")], tmp_path)
         assert run.returncode == 3, run.stderr
         lines = run.stderr.splitlines()
@@ -937,6 +1037,21 @@ class TestCli:
         assert "non-finite step size nan" in err["message"]
         assert err["t"] == 0.0 and err["h"] is None and err["err_norm"] is None
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "fig2", "--t-end", "1e-20"],
+        ["sweep", "--scenario", "fig2", "--param", "K", "--values", "0.1", "--t-end", "1e-15"],
+    ])
+    def test_span_below_the_step_floor_runs(self, argv, tmp_path, capsys):
+        # the first step, clipped to the span, fell below the 1e-14 floor, and
+        # the run failed as "step size underflow ... appears stiff"
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0, capsys.readouterr().err
+        assert capsys.readouterr().err == ""
+        (out,) = tmp_path.iterdir()
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(HYBRID_CSV_HEADER)
+        assert len(lines) == 1 + 2
+        assert float(lines[2].split(",")[0]) == float(argv[-1])
 
     def test_integration_error_names_the_exception_class(self, tmp_path, capsys):
         # x1 = 1e150 overflows the first evaluation of the right-hand side

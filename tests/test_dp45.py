@@ -97,6 +97,17 @@ class TestControl:
         assert 0.0 < err.value.h < 1e-14 * max(1.0, err.value.t)
         assert math.isfinite(err.value.err_norm) and err.value.err_norm == s.err_norm
 
+    @pytest.mark.parametrize("t0, span", [(0.0, 1e-20), (1e6, 2e-9)])
+    def test_span_below_the_step_floor(self, t0, span):
+        # the floor, 1e-14 max(1, |t|), is 1e-8 at t = 1e6; the first step,
+        # clipped to the span, fell below it and was called an underflow
+        t_end = t0 + span
+        assert t_end - t0 < 1e-14 * max(1.0, t0)
+        s = drive(DormandPrince45(lambda t, y, out: np.negative(y, out=out), t0,
+                                  np.array([1.0]), t_end, tol=1e-9))
+        assert (s.t, s.n_steps, s.n_rejected) == (t_end, 1, 0)
+        assert s.y[0] == pytest.approx(math.exp(-(t_end - t0)), rel=1e-15)
+
     def test_error_norm_of_the_last_trial(self):
         s = DormandPrince45(lambda t, y, out: np.negative(y, out=out), 0.0, np.array([1.0]),
                             1.0, tol=1e-9)
@@ -270,12 +281,12 @@ class AllocatingDP45(DormandPrince45):
         K[0] = self.f
         while True:
             h = self._h
-            if t + h > t_end:
-                h = t_end - t
             if not math.isfinite(h):
                 raise FloatingPointError(f"non-finite step size {h!r} at t = {t!r}")
             if h < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError(t, h, self.err_norm)
+            if t + h > t_end:
+                h = t_end - t
             for i in range(1, 6):
                 K[i] = allocated(fun, t + _C[i] * h, y + h * _A[i].dot(K[:i]))
             y_new = y + h * _B.dot(K[:6])
