@@ -2,7 +2,8 @@
 
 ``otoc_product`` takes an accumulated propagator U (the full evolution
 operator from the initial time), the initial state, and a pair of unitary
-probe operators W, V.  Heisenberg picture: W(t) = U^dag W U.  The
+probe operators W, V.  Heisenberg picture: W(t) = U^dag W U, formed only by
+``_heisenberg``, which the quantum channel's thermal OTOC shares.  The
 commutator form of the OTOC and a scalar two-point correlator, which no run
 path needs, are test oracles in tests/oracles.py.
 
@@ -53,6 +54,12 @@ def _check_state(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _heisenberg(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """W(t) = U^dagger W U of one propagator or of each member of a stack, with
+    U^dagger conjugated into C order for ``_rdot`` to flatten without a copy."""
+    return _rdot(np.conj(U.swapaxes(-1, -2), order="C"), W) @ U
+
+
 def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray
                  ) -> CorrelatorRecord:
     """OTOC from the out-of-time-order product form.
@@ -67,8 +74,7 @@ def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray
     psi0 = _check_state(psi0)
     W = _check_unitary(W, "W")
     V = _check_unitary(V, "V")
-    # U^dagger conjugated into C order, for _rdot to flatten without a copy
-    Wt = _rdot(np.conj(U.swapaxes(-1, -2), order="C"), W) @ U
+    Wt = _heisenberg(U, W)
     # kets are (..., 4, 1) columns so that every operator applies over the stack
     wt_v_psi = _rdot(Wt, (V @ psi0)[:, None])
     F = (psi0.conj() @ (_dagger(Wt) @ (_dagger(V) @ wt_v_psi)))[..., 0][()]

@@ -19,7 +19,9 @@ propagator unitarity defect are recorded and, above a small threshold, U is
 replaced by its polar factor (a Newton-Schulz iteration whose result is
 checked); runs abort if the accumulated drift ever exceeds
 ``CUM_DRIFT_LIMIT`` so a silently inaccurate integration cannot masquerade
-as physics.  The sampled states are stored during stepping and every output
+as physics, and once their trial steps exceed a budget that grows with the
+span (``MIN_STEP_BUDGET``, ``STEPS_PER_UNIT_TIME``), so a step size that
+collapses cannot make a run's work unbounded.  The sampled states are stored during stepping and every output
 column is evaluated afterwards in one pass over the whole stack.
 
 ``propagate_nofeedback`` is the control case without back-action: the spins
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import correlators
 from .dp45 import DormandPrince45
-from .spin_algebra import SpinParams, _dagger, _rdot, embed, pauli
+from .spin_algebra import _S1Z, _S2Z, SpinParams, _dagger, _rdot, embed, pauli
 
 __all__ = [
     "OscParams",
@@ -60,12 +62,15 @@ __all__ = [
 
 RENORM_THRESHOLD = 1e-12   # per-step defect above which U is projected
 CUM_DRIFT_LIMIT = 1e-6     # run is aborted if accumulated drift exceeds this
+# A run is aborted once its trial steps (accepted plus rejected) exceed
+# MIN_STEP_BUDGET + STEPS_PER_UNIT_TIME * (t_end - t0): 31x the densest preset's
+# 318 per unit time at tol 1e-12, and a floor for short spans
+MIN_STEP_BUDGET = 100_000
+STEPS_PER_UNIT_TIME = 10_000
 _POLAR_ITERATIONS = 3      # Newton-Schulz iterations before a projection fails
 _POLAR_ROUNDING = 1e-14    # unitarity defect at which the iteration has converged
 
 _I4 = np.eye(4, dtype=complex)
-_SZ = pauli("z")
-_S1Z, _S2Z = embed(_SZ, 1), embed(_SZ, 2)   # the OTOC probes
 _SIGMA_OPS = [embed(pauli(ax), site) for site in (1, 2) for ax in ("x", "y", "z")]
 
 
@@ -490,20 +495,30 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
     Returns the leading reals sampled on the grid, (len(y0) - 32, n), and
     the sampled U, (n, 4, 4), and psi, (n, 4), after the sample fix-up; both
     are split once from one (n, len(y0)) buffer of a row per grid time.
-    Failures of the stepping loop other than IntegrationError are re-raised
-    as IntegrationError naming the exception class; every IntegrationError
-    from the loop leaves with the stepper's t, h and last err_norm.
+    The run fails once its trial steps exceed the step budget
+    MIN_STEP_BUDGET + STEPS_PER_UNIT_TIME * (t_end - t0), checked after each
+    step.  Failures of the stepping loop other than IntegrationError are
+    re-raised as IntegrationError naming the exception class; every
+    IntegrationError from the loop leaves with the stepper's t, h and last
+    err_norm.
     """
     n, m = t_grid.size, y0.size - 32
     samples = np.empty((n, y0.size))
     samples[0] = y0
     if n > 1:
         grid = t_grid.tolist()
+        budget = MIN_STEP_BUDGET + STEPS_PER_UNIT_TIME * (t_end - grid[0])
         stepper = None
         try:
             stepper = DormandPrince45(rhs, grid[0], y0, t_end, tol=tol)
             k = 1
             while stepper.step():
+                if stepper.n_steps + stepper.n_rejected > budget:
+                    raise IntegrationError(
+                        f"step budget exceeded: {stepper.n_steps} accepted and "
+                        f"{stepper.n_rejected} rejected steps, more than {budget:.6g} = "
+                        f"{MIN_STEP_BUDGET} + {STEPS_PER_UNIT_TIME} per unit time over "
+                        f"the span {t_end - grid[0]!r}")
                 t = stepper.t
                 while k < n and grid[k] <= t + 1e-12 * max(1.0, abs(t)):
                     samples[k] = stepper.interpolate(grid[k])

@@ -36,9 +36,12 @@ tau tau^dagger is diagonal to rounding: one batched eigvalsh gives every
 R_i^2 to rounding, with no density stack.  ``concurrence`` takes any rho,
 whose eigh factor need not make tau tau^dagger diagonal; eigvalsh there
 would lose half the digits of a near-zero R_i, so it takes the singular
-values of tau.  A failed cross-check raises an IntegrationError that
-carries the worst t; an empty time grid gives empty results and checks
-nothing.
+values of tau.  The thermal OTOC's trace route forms sigma1_z(t) with
+correlators' one Heisenberg operator, and the probes sigma1_z, sigma2_z are
+spin_algebra's.  Every dense check, the trace of the evolved thermal state
+among them, is one worst-point search (``_cross_check``): a failure raises
+an IntegrationError that carries the worst t; an empty time grid gives
+empty results and checks nothing.
 
 The oscillator is never represented as a Fock ladder: n is a fixed
 non-negative real parameter, and the n -> infinity limit (Omega_n -> 0,
@@ -56,7 +59,7 @@ import numpy as np
 
 from . import correlators
 from .hybrid_dynamics import IntegrationError
-from .spin_algebra import _dagger, _rdot, basis_state, bell_phi_minus, embed, expm_hermitian, pauli
+from .spin_algebra import _S1Z, _S2Z, _dagger, _rdot, basis_state, bell_phi_minus, expm_hermitian
 
 __all__ = [
     "QuantumChannelParams",
@@ -72,10 +75,7 @@ __all__ = [
     "thermal_concurrence",
 ]
 
-_S1Z = embed(pauli("z"), 1)
-_S2Z = embed(pauli("z"), 2)
-# sigma1_z and sigma2_z are diagonal: X @ S is X with its columns scaled
-_S1Z_DIAG = np.diag(_S1Z).real.copy()
+# sigma2_z is diagonal: X @ sigma2_z is X with its columns scaled
 _S2Z_DIAG = np.diag(_S2Z).real.copy()
 # kron(sigma_y, sigma_y) is anti-diagonal with signs (-1, 1, 1, -1): it times
 # X is X with its rows reversed, each row times its sign
@@ -183,13 +183,14 @@ def otoc_bell_spectral(p: QuantumChannelParams, t: float | np.ndarray) -> float 
 
 def _propagator(p: QuantumChannelParams, t: float | np.ndarray,
                 U: np.ndarray | None) -> np.ndarray:
-    """exp(-i h_total(p) t), or the given U once its shape matches t."""
+    """exp(-i h_total(p) t), or the given U as a complex array once its shape
+    matches t."""
     if U is None:
         return expm_hermitian(h_total(p), t)
     if np.shape(U) != np.shape(t) + (4, 4):
         raise ValueError(f"propagator of shape {np.shape(U)} does not match t of shape "
                          f"{np.shape(t)}; expected {np.shape(t) + (4, 4)}")
-    return U
+    return np.asarray(U, dtype=complex)
 
 
 def otoc_numeric(p: QuantumChannelParams, t: float | np.ndarray,
@@ -253,15 +254,16 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _cross_check(quantity: str, route: str, t, closed, numeric) -> None:
-    """Raise an IntegrationError unless closed form and dense route agree at
-    every t (none on an empty grid); name the worst t, and carry it as the
-    error's t."""
+def _cross_check(quantity: str, route: str, t, closed, numeric,
+                 tol: float = CROSS_CHECK_TOL) -> None:
+    """Raise an IntegrationError unless closed form and dense route agree to
+    within tol at every t (none on an empty grid); name the worst t, and
+    carry it as the error's t."""
     t, closed, numeric = (a.ravel() for a in np.broadcast_arrays(t, closed, numeric))
     if not t.size:
         return
     k = np.argmax(np.abs(closed - numeric))  # the first NaN, if any
-    if not abs(closed[k] - numeric[k]) <= CROSS_CHECK_TOL:
+    if not abs(closed[k] - numeric[k]) <= tol:
         raise IntegrationError(f"{quantity} cross-check failed at t = {float(t[k])!r}: "
                                f"closed form {float(closed[k])!r} vs {route} "
                                f"{float(numeric[k])!r}", t=float(t[k]))
@@ -276,8 +278,9 @@ def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray, *,
         C = 1 - [cosh(2 beta (Omega0+omega0R)) + cos(4 Omega_n t) cosh(beta Omega_n)]
               / [cosh(2 beta (Omega0+omega0R)) + cosh(beta Omega_n)]
 
-    and the defining trace Re Tr{rho sigma1_z(t) sigma2_z sigma1_z(t) sigma2_z}
-    from the propagator U on t (built here unless given); the two must agree
+    and the defining trace Re Tr{rho sigma1_z(t) sigma2_z sigma1_z(t) sigma2_z},
+    with sigma1_z(t) = U^dagger sigma1_z U of the propagator U on t (built
+    here unless given) formed as otoc_product forms it; the two must agree
     to within CROSS_CHECK_TOL at every t or the call fails.
     """
     a = math.cosh(2 * p.beta * p.zeeman)
@@ -285,7 +288,7 @@ def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray, *,
     closed = 1.0 - (a + np.cos(4 * p.Omega_n * np.asarray(t)) * b) / (a + b)
 
     U = _propagator(p, t, U)
-    m = ((_dagger(U) * _S1Z_DIAG) @ U) * _S2Z_DIAG  # sigma1_z(t) sigma2_z
+    m = correlators._heisenberg(U, _S1Z) * _S2Z_DIAG  # sigma1_z(t) sigma2_z
     # Tr(rho m m) = Tr(m rho m): one GEMM for m rho, then an elementwise contraction
     traced = 1.0 - np.einsum("...ij,...ji->...", _rdot(m, thermal_density(p)), m).real
     _cross_check("thermal OTOC", "trace", t, closed, traced)
@@ -348,7 +351,8 @@ def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray, *,
     tau is zero to rounding outside its diagonal and its |00>, |11> corners,
     tau tau^dagger is diagonal to rounding, and eigvalsh finds each R_i^2 to
     rounding of its own size, near-pure states included.  The trace of
-    rho(t), ||X(t)||_F^2, must be 1 within DENSITY_TRACE_TOL at every t.  The
+    rho(t), ||X(t)||_F^2, must be 1 within DENSITY_TRACE_TOL at every t, a
+    cross-check like the others.  The
     public ``concurrence`` of thermal_density(p) is checked against the same
     closed form once, at t = 0.  The thermal state is stationary, so the
     result is t-independent; t only exercises that.
@@ -360,12 +364,7 @@ def thermal_concurrence(p: QuantumChannelParams, t: float | np.ndarray, *,
     X = _rdot(_propagator(p, t, U), _gibbs_factor(p))
     parts = X.view(float)  # real and imaginary parts side by side, no copy
     tr = np.einsum("...ij,...ij->...", parts, parts)  # ||X||_F^2 = tr rho(t)
-    ts, tr = (a.ravel() for a in np.broadcast_arrays(t, tr))
-    if tr.size:  # an empty grid has no trace to check
-        k = np.argmax(np.abs(tr - 1.0))  # the first NaN, if any
-        if not abs(tr[k] - 1.0) <= DENSITY_TRACE_TOL:
-            raise ValueError(f"evolved thermal state has trace {float(tr[k])!r} at "
-                             f"t = {float(ts[k])!r}, expected 1")
+    _cross_check("thermal state trace", "||U X0||_F^2", t, 1.0, tr, tol=DENSITY_TRACE_TOL)
     tau = _wootters_tau(X)
     roots = np.sqrt(np.clip(np.linalg.eigvalsh(tau @ _dagger(tau)), 0.0, None))  # ascending
     c = roots[..., 3] - roots[..., 2] - roots[..., 1] - roots[..., 0]

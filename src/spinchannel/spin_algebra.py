@@ -87,6 +87,9 @@ def embed(op: np.ndarray, site: int) -> np.ndarray:
     raise ValueError(f"site must be 1 or 2, got {site!r}")
 
 
+_S1Z, _S2Z = embed(_PAULI["z"], 1), embed(_PAULI["z"], 2)   # the OTOC probes
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes of a matrix or a stack, as
     a strided view (see the layout rule in the module docstring)."""

@@ -755,6 +755,36 @@ class TestCli:
                                   f"closed form 1.0 vs Wootters 0.0")
         assert not list(tmp_path.iterdir())
 
+    def test_evolved_trace_failure_is_an_integration_error(self, tmp_path, capsys, monkeypatch):
+        # U[17] scaled by 1 + 1e-11 moves the trace of the evolved thermal
+        # state by 2e-11, above DENSITY_TRACE_TOL, and every other check by
+        # less than its tolerance; the trace check used to raise a ValueError,
+        # reported as a config error (exit 2)
+        from spinchannel import runner
+        exact = runner.expm_hermitian
+        grids = []
+
+        def scaled(h, t):
+            grids.append(t)
+            U = exact(h, t)
+            U[17] *= 1.0 + 1e-11
+            return U
+
+        monkeypatch.setattr(runner, "expm_hermitian", scaled)
+        code = main(["run", "--scenario", "fig8", "--t-end", "20",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "integration"
+        assert len(grids) == 1  # the first photon number fails
+        assert err["t"] == float(grids[0][17])
+        assert err["message"].startswith(f"thermal state trace cross-check failed at "
+                                         f"t = {err['t']!r}: closed form 1.0 vs ||U X0||_F^2 ")
+        assert err["h"] is None and err["err_norm"] is None
+        assert not list(tmp_path.iterdir())
+
     def test_ambiguous_set_key(self, capsys):
         code = main(["run", "--scenario", "fig2", "--set", "omega0=2"])
         assert code == 2
@@ -1052,6 +1082,27 @@ class TestCli:
         assert lines[0] == ",".join(HYBRID_CSV_HEADER)
         assert len(lines) == 1 + 2
         assert float(lines[2].split(",")[0]) == float(argv[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "fig5", "--set", "Omega=1e308", "--t-end", "1"],
+        ["--scenario", "fig2", "--set", "D=1e10", "--t-end", "0.3"],
+    ])
+    def test_step_budget_ends_an_unbounded_run(self, argv, tmp_path, capsys):
+        # 1.7e7 and 2.4e6 trial steps per unit time: unbounded, these would
+        # step for about 15 min and 37 s; the step budget ends each after
+        # 1.1e5 and 1.03e5 trial steps, about 5 s
+        code = main(["run", *argv, "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "integration"
+        span = float(argv[-1])
+        assert err["message"].startswith("step budget exceeded: ")
+        assert err["message"].endswith(f"more than {100_000 + 10_000 * span:.6g} = 100000 + "
+                                       f"10000 per unit time over the span {span!r}")
+        assert 0.0 < err["t"] < span and err["h"] > 0.0 and 0.0 < err["err_norm"] <= 1.0
+        assert not list(tmp_path.iterdir())
 
     def test_integration_error_names_the_exception_class(self, tmp_path, capsys):
         # x1 = 1e150 overflows the first evaluation of the right-hand side

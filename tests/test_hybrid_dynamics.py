@@ -498,6 +498,23 @@ class TestIntegrate:
         assert 0.0 < info.value.h < 100.0
         assert 0.0 < info.value.err_norm <= 1.0  # the last trial was accepted
 
+    def test_step_budget_bounds_the_trial_steps(self, monkeypatch):
+        d = integrate(initial(), weak_k(), SP, 10.0, 0.5, 1e-9).diagnostics
+        trials = d.n_steps + d.n_rejected
+        monkeypatch.setattr(hybrid_dynamics, "STEPS_PER_UNIT_TIME", 10)
+        # a budget of exactly the run's trial steps lets it complete
+        monkeypatch.setattr(hybrid_dynamics, "MIN_STEP_BUDGET", trials - 100)
+        assert integrate(initial(), weak_k(), SP, 10.0, 0.5, 1e-9).t[-1] == 10.0
+        # one less stops it after its last step, with the loop's locus
+        monkeypatch.setattr(hybrid_dynamics, "MIN_STEP_BUDGET", trials - 101)
+        with pytest.raises(IntegrationError) as info:
+            integrate(initial(), weak_k(), SP, 10.0, 0.5, 1e-9)
+        assert str(info.value) == (
+            f"step budget exceeded: {d.n_steps} accepted and {d.n_rejected} rejected steps, "
+            f"more than {trials - 1} = {trials - 101} + 10 per unit time over the span 10.0")
+        assert info.value.t == 10.0 and info.value.h > 0.0
+        assert 0.0 < info.value.err_norm <= 1.0  # the last trial was accepted
+
     def test_initial_psi_must_be_normalized(self):
         bad = initial(psi=2.0 * PSI01)
         with pytest.raises(ValueError, match="not normalized"):
@@ -534,6 +551,50 @@ class TestIntegrate:
         assert abs(b.x1 - 1.0) < 1e-7
         assert abs(b.v1) < 1e-7
         assert np.abs(b.psi.conj() - PSI01).max() < 1e-7
+
+
+class TestAccuracy:
+    """integrate against an independent solver: scipy's DOP853 at rtol = atol
+    = 1e-13 on the complex equations of motion of tests/oracles.py
+    (``derivative``), over t <= 10 on the output grids of fig2, fig3, fig5
+    and fig6: both connectivities, autonomous linear and driven nonlinear.
+
+    The max absolute error over x1, v1, x2, v2 and psi, over tol, measured
+    at tol 1e-9 (1e-10 agreed within 3.1%): fig2 1.2, fig3 47, fig5 1.1,
+    fig6 20.  The bounds are twice that.  The error is proportional to tol:
+    its ratio to tol at 1e-10 over that at 1e-9 measured 0.97-1.03, and
+    must lie in [0.8, 1.25]."""
+
+    T_END = 10.0
+    MEASURED = {"fig2": 1.2, "fig3": 47.0, "fig5": 1.1, "fig6": 20.0}
+
+    @pytest.mark.parametrize("name", sorted(MEASURED))
+    def test_global_error_is_bounded_and_proportional_to_tol(self, name):
+        from scipy.integrate import solve_ivp
+
+        cfg = preset_config(name)
+        op, sp, psi0 = cfg.osc_params(), cfg.spin_params(), cfg.initial_spin_state()
+        start = HybridState(t=0.0, x1=cfg.x1, v1=cfg.v1, x2=cfg.x2, v2=cfg.v2, psi=psi0)
+
+        def f(t, y):
+            d = derivative(HybridState(t=t, x1=y[0], v1=y[1], x2=y[2], v2=y[3],
+                                       psi=y[4:8] + 1j * y[8:]), op, sp)
+            return np.concatenate(([d.x1, d.v1, d.x2, d.v2], d.psi.real, d.psi.imag))
+
+        y0 = np.concatenate(([cfg.x1, cfg.v1, cfg.x2, cfg.v2], psi0.real, psi0.imag))
+        ratios = []
+        for tol in (1e-9, 1e-10):
+            series = integrate(start, op, sp, self.T_END, cfg.resolved_dt_out(), tol)
+            if not ratios:
+                ref = solve_ivp(f, (0.0, self.T_END), y0, method="DOP853", t_eval=series.t,
+                                rtol=1e-13, atol=1e-13)
+                assert ref.success
+                x, psi = ref.y[:4], (ref.y[4:8] + 1j * ref.y[8:]).T
+            error = max(np.abs(np.stack([series.x1, series.v1, series.x2, series.v2]) - x).max(),
+                        np.abs(series.psis - psi).max())
+            ratios.append(error / tol)
+        assert ratios[0] <= 2.0 * self.MEASURED[name]
+        assert 0.8 <= ratios[1] / ratios[0] <= 1.25
 
 
 class TestStackedEmission:

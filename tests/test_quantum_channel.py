@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spinchannel import correlators, quantum_channel
 from spinchannel.config import preset_config
+from spinchannel.hybrid_dynamics import IntegrationError
 from spinchannel.quantum_channel import (DENSITY_PSD_TOL, GIBBS_EXPONENT_LIMIT,
                                          QuantumChannelParams, concurrence,
                                          eigensystem, gme, h_total,
@@ -726,14 +727,19 @@ class TestThermalConcurrence:
 
     @pytest.mark.parametrize("value", [1.0 + 1e-9, np.nan])
     def test_trace_of_the_evolved_state_is_checked_at_every_t(self, value):
+        # a failed trace is a failed cross-check like any other: an
+        # IntegrationError that carries the worst t (it was a ValueError)
         p = params(n=3.0, beta=0.5)
         ts = np.linspace(0.0, 10.0, 50)
         U = expm_hermitian(h_total(p), ts)
         U[17] *= value
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(IntegrationError) as err:
             thermal_concurrence(p, ts, U=U)
-        assert str(err.value).startswith("evolved thermal state has trace ")
-        assert str(err.value).endswith(f" at t = {float(ts[17])!r}, expected 1")
+        assert str(err.value).startswith(f"thermal state trace cross-check failed at "
+                                         f"t = {float(ts[17])!r}: closed form 1.0 vs "
+                                         f"||U X0||_F^2 ")
+        assert err.value.t == float(ts[17])
+        assert err.value.h is None and err.value.err_norm is None
 
     def test_public_concurrence_checks_the_gibbs_state_once(self, monkeypatch):
         public = quantum_channel.concurrence
@@ -820,8 +826,10 @@ class TestTimeGrid:
             grid = evaluator(p, ts)
             assert grid.shape == ts.shape
             assert np.array_equal(grid, [evaluator(p, t) for t in ts]), evaluator.__name__
-            # a shared propagator selects no behaviour: the same bytes as building it
+            # a shared propagator selects no behaviour: the same bytes as building
+            # it, also when given as nested lists
             assert np.array_equal(evaluator(p, ts, U=U), grid), evaluator.__name__
+            assert np.array_equal(evaluator(p, ts, U=U.tolist()), grid), evaluator.__name__
         assert np.array_equal(otoc_numeric(p, ts, psi0), [otoc_numeric(p, t, psi0) for t in ts])
         assert np.array_equal(otoc_numeric(p, ts, psi0, U=U), otoc_numeric(p, ts, psi0))
         assert U.shape == (ts.size, 4, 4)
@@ -852,6 +860,35 @@ class TestTimeGrid:
             concurrence(rhos)
         with pytest.raises(ValueError, match="got 1.5"):
             gme(np.array([0.2, 1.5, 0.3]))
+
+
+class TestHeisenbergOperator:
+    """sigma1_z(t) = U^dagger sigma1_z U has one definition,
+    correlators._heisenberg, which the thermal OTOC's trace route and
+    otoc_product both call."""
+
+    def test_thermal_trace_route_and_otoc_product_form_the_same_bytes(self, monkeypatch):
+        shared = correlators._heisenberg
+        formed = []
+        monkeypatch.setattr(correlators, "_heisenberg",
+                            lambda U, W: formed.append((W, shared(U, W))) or formed[-1][1])
+        s1z, s2z = embed(pauli("z"), 1), embed(pauli("z"), 2)
+        p = params(n=3.0, beta=0.5)
+        rng = np.random.default_rng(24)
+        for size in (1, 7, 64):
+            # random unitaries: the Q factors of complex Gaussian matrices
+            U = np.linalg.qr(rng.normal(size=(size, 4, 4))
+                             + 1j * rng.normal(size=(size, 4, 4)))[0]
+            formed.clear()
+            try:  # U is not the propagator, so the closed form need not hold
+                thermal_otoc(p, np.linspace(0.0, 1.0, size), U=U)
+            except IntegrationError:
+                pass
+            correlators.otoc_product(U, bell_phi_minus(), s1z, s2z)
+            (w_trace, trace_route), (w_product, product_route) = formed
+            assert np.array_equal(w_trace, s1z) and np.array_equal(w_product, s1z)
+            assert trace_route.tobytes() == product_route.tobytes()
+            np.testing.assert_allclose(trace_route, _dagger(U) @ s1z @ U, rtol=0, atol=1e-14)
 
 
 class TestBatchedCrossChecks:
