@@ -6,10 +6,11 @@ Subcommands:
     presets  list the named scenario presets
 
 Failures exit nonzero and print a one-line machine-readable JSON error
-object to stderr with a category of config, integration, io or usage.
-Integration errors also carry ``t``, ``h`` and ``err_norm``, the time, step
-size and last error norm of the stepper when it failed (null where there was
-none, or where the value is not finite: NaN and Infinity are not JSON).
+object to stderr with a category of config (exit 2; a malformed command line
+is one too), integration (exit 3) or io (exit 4).  Integration errors also
+carry ``t``, ``h`` and ``err_norm``, the time, step size and last error norm
+of the stepper when it failed (null where there was none, or where the value
+is not finite: NaN and Infinity are not JSON).
 """
 
 from __future__ import annotations
@@ -30,33 +31,42 @@ EXIT_INTEGRATION = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are ConfigErrors, so that a malformed
+    command line fails with the one JSON line of every other failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spinchannel",
-                                     description="spin-oscillator scrambling simulator")
+    parser = _Parser(prog="spinchannel", description="spin-oscillator scrambling simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--scenario", help="preset name (see 'spinchannel presets')")
-        p.add_argument("--config", help="path to a key = value config file")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--scenario", help="preset name (see 'spinchannel presets')")
+        source.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config field "
                        "(section.key or unambiguous bare key)")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", help="output format: csv or json")
         p.add_argument("--tol", type=float, help="integration tolerance")
         p.add_argument("--t-end", type=float, dest="t_end", help="end time")
 
     run_p = sub.add_parser("run", help="run one scenario")
     add_common(run_p)
+    run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario over several parameter values")
     add_common(sweep_p)
     sweep_p.add_argument("--param", required=True, help="numeric config field to sweep")
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated list of values")
+    sweep_p.set_defaults(func=_cmd_sweep)
 
-    presets_p = sub.add_parser("presets", help="list scenario presets")
-    presets_p.add_argument("action", nargs="?", default="list", choices=("list",))
+    sub.add_parser("presets", help="list scenario presets").set_defaults(func=_cmd_presets)
     return parser
 
 
@@ -81,24 +91,12 @@ def _overrides(args) -> dict[str, object]:
 
 
 def _load_config(args) -> ScenarioConfig:
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
-        cfg = parse_config(text)
-        if args.scenario:
-            raise ConfigError("give either --scenario or --config, not both")
-    elif args.scenario:
-        cfg = preset_config(args.scenario)
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
     else:
-        raise ConfigError("one of --scenario or --config is required")
+        cfg = preset_config(args.scenario)
     return apply_overrides(cfg, _overrides(args)).validate()
-
-
-class _IOFailure(RuntimeError):
-    pass
 
 
 def _cmd_run(args) -> int:
@@ -107,10 +105,7 @@ def _cmd_run(args) -> int:
     path = cfg.out_path
     if path is None:
         path = f"{cfg.name}.{cfg.out_format}"
-    try:
-        write_output(result, cfg.out_format, path)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    write_output(result, cfg.out_format, path)
     diag = " ".join(f"{k}={v}" for k, v in result.diagnostics.items())
     print(f"wrote {path} ({result.kind}, {cfg.name}); {diag}")
     return EXIT_OK
@@ -140,10 +135,7 @@ def _cmd_sweep(args) -> int:
     # a repeated value runs and is written once, at its first position
     results = sweep(cfg, args.param, list(first.values()))
     for path, result in zip(first, results):
-        try:
-            write_output(result, cfg.out_format, path)
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
+        write_output(result, cfg.out_format, path)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -165,21 +157,15 @@ def _fail(category: str, message: str, code: int, **locus) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_presets(args)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # --help, after printing it
+        return exc.code
     except IntegrationError as exc:
         return _fail("integration", str(exc), EXIT_INTEGRATION, t=exc.t, h=exc.h,
                      err_norm=exc.err_norm)
-    except _IOFailure as exc:
+    except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
     except ValueError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)

@@ -21,8 +21,9 @@ checked); runs abort if the accumulated drift ever exceeds
 ``CUM_DRIFT_LIMIT`` so a silently inaccurate integration cannot masquerade
 as physics, and once their trial steps exceed a budget that grows with the
 span (``MIN_STEP_BUDGET``, ``STEPS_PER_UNIT_TIME``), so a step size that
-collapses cannot make a run's work unbounded.  The sampled states are stored during stepping and every output
-column is evaluated afterwards in one pass over the whole stack.
+collapses cannot make a run's work unbounded.  The sampled states are
+stored during stepping and every output column is evaluated afterwards in
+one pass over the whole stack, which checks that every value is finite.
 
 ``propagate_nofeedback`` is the control case without back-action: the spins
 follow a prescribed oscillator trajectory, and U alone is integrated with
@@ -87,7 +88,8 @@ class IntegrationError(RuntimeError):
     step, the next one proposed) and the error norm of its last trial step.
     If the stepper was never built, t is the start time and h and err_norm
     are None; all three are None for a failure outside the loop.  A failed
-    cross-check gives the worst t on its grid, with h and err_norm None.
+    cross-check gives the worst t on its grid, and an output column that is
+    not finite the first t at which it is not, with h and err_norm None.
     """
 
     def __init__(self, message: str, t: float | None = None, h: float | None = None,
@@ -552,7 +554,9 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     exact divisor of the time span so the grid lands on both endpoints.  The
     parameters must classify as one of the four regimes (RegimeError
     otherwise).  The stepper only stores the sampled states; every output
-    column is evaluated afterwards in one pass over the whole stack.
+    column is evaluated afterwards in one pass over the whole stack, and a
+    value in it that is not finite (an energy that overflows) is an
+    IntegrationError naming its column.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end ({t_end}) must not precede the initial time ({initial.t})")
@@ -574,15 +578,31 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     x1, v1, x2, v2 = xs
     s1x, s1y, s1z, s2x, s2y, s2z, f1, f2, h_nv = expect
     state = HybridState(t=t_grid, x1=x1, v1=v1, x2=x2, v2=v2, psi=psis)
+    # finite coordinates can still overflow an energy column, e.g. at t_end = t0,
+    # where nothing is stepped; _check_columns reports that, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = dict(x1=x1, v1=v1, x2=x2, v2=v2,
+                       s1x=s1x, s1y=s1y, s1z=s1z, s2x=s2x, s2y=s2y, s2z=s2z,
+                       otoc=rec.C, two_point=rec.G2,
+                       h0=classical_energy(state, op), h_nv=h_nv,
+                       v_int=sp.g * x1 * f1 + sp.g * x2 * f2,
+                       sep_defect=separability_defect(Us))
+    _check_columns(t_grid, columns)
     final = HybridState(t=t_grid[-1], x1=float(x1[-1]), v1=float(v1[-1]),
                         x2=float(x2[-1]), v2=float(v2[-1]), psi=psis[-1].copy())
-    return TimeSeries(t=t_grid, x1=x1, v1=v1, x2=x2, v2=v2,
-                      s1x=s1x, s1y=s1y, s1z=s1z, s2x=s2x, s2y=s2y, s2z=s2z,
-                      otoc=rec.C, two_point=rec.G2,
-                      h0=classical_energy(state, op), h_nv=h_nv,
-                      v_int=sp.g * x1 * f1 + sp.g * x2 * f2,
-                      sep_defect=separability_defect(Us), psis=psis, Us=Us, psi0=psi0,
+    return TimeSeries(t=t_grid, **columns, psis=psis, Us=Us, psi0=psi0,
                       final_state=final, diagnostics=diag)
+
+
+def _check_columns(t: np.ndarray, columns: dict[str, np.ndarray]) -> None:
+    """Raise an IntegrationError at the first time t at which an output
+    column is not finite, naming the first such column and its value."""
+    finite = np.logical_and.reduce([np.isfinite(col) for col in columns.values()])
+    if not finite.all():
+        k = int(finite.argmin())
+        name = next(name for name, col in columns.items() if not np.isfinite(col[k]))
+        raise IntegrationError(f"output column {name} is not finite at t = {float(t[k])!r}: "
+                               f"{columns[name][k]}", t=float(t[k]))
 
 
 def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinParams,

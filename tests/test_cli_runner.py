@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -635,6 +639,53 @@ class TestWriteOutput:
             write_output(res, "xml", str(tmp_path / "x.xml"))
 
 
+def reject_constant(constant):
+    """parse_constant for json.loads that makes it strict: NaN, Infinity and
+    -Infinity are not JSON."""
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def strict_error(stderr: str) -> dict:
+    """The error object of a CLI failure: stderr must be exactly one line of
+    strict JSON."""
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    return json.loads(lines[0], parse_constant=reject_constant)["error"]
+
+
+# The command-line half of the fuzz contract: argv over every subcommand, the
+# presets and an unknown name, 0-3 --set over every key (qualified and bare)
+# and unknown ones, --tol and --format, and a sweep parameter other than
+# t_end, with edge values.  A run or a sweep ends in --t-end 0, so no example
+# steps, and writes under {out}.
+_FUZZ_KEYS = sorted(KEY_FIELDS) + sorted({key.split(".")[1] for key in KEY_FIELDS}) \
+    + ["oscillators.mass", "mass", "spin.omega_R", ""]
+_FUZZ_VALUES = ["0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "1e160", "5e-324", "",
+                "nan", "x", "1,2", "1", "0.5", "2.5", "1e-6", "10,100", "0,0,1,0,0,0,0,0",
+                "csv", "json", "00", "01", "phi_minus", "custom", "hybrid", "quantum", "fig2"]
+_FUZZ_VALUE = st.sampled_from(_FUZZ_VALUES)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["run", "sweep", "presets"]))
+    if command == "presets" and draw(st.booleans()):
+        return ["presets"]
+    argv = [command, "--scenario", draw(st.sampled_from(preset_names() + ["fig9"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        argv += ["--set", f"{draw(st.sampled_from(_FUZZ_KEYS))}={draw(_FUZZ_VALUE)}"]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.one_of(st.sampled_from(["1e-6", "1e-9"]), _FUZZ_VALUE))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.one_of(st.sampled_from(["csv", "json"]), _FUZZ_VALUE))]
+    if command == "sweep":
+        param = draw(st.sampled_from([k for k in _FUZZ_KEYS if k not in ("t_end", "run.t_end")]))
+        argv += ["--param", param, "--values", draw(_FUZZ_VALUE)]
+    if command != "presets":
+        argv += ["--t-end", "0", "--out", "{out}/x.csv"]
+    return argv
+
+
 class TestCli:
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
@@ -1052,9 +1103,6 @@ class TestCli:
         # the damping and Duffing forces of the first trial step are -inf and
         # +inf, and the first step size is NaN: the error object used to carry
         # "h": NaN, which no strict JSON parser accepts
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
         run = self.run_cli_process(["run", "--scenario", "fig2", "--set", "gamma=1e300",
                                     "--set", "F=1", "--set", "v1=1e10", "--set", "xi=-1e300",
                                     "--set", "x1=1e5", "--t-end", "1",
@@ -1062,7 +1110,7 @@ class TestCli:
         assert run.returncode == 3, run.stderr
         lines = run.stderr.splitlines()
         assert len(lines) == 1, run.stderr
-        err = json.loads(lines[0], parse_constant=reject)["error"]
+        err = json.loads(lines[0], parse_constant=reject_constant)["error"]
         assert err["category"] == "integration"
         assert "non-finite step size nan" in err["message"]
         assert err["t"] == 0.0 and err["h"] is None and err["err_norm"] is None
@@ -1128,3 +1176,92 @@ class TestCli:
                      "--out", str(tmp_path / "nope" / "x.csv")])
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "io"
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: spinchannel ")
+        assert captured.err == ""
+
+    # argparse used to print its usage text and a plain error line to stderr
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--scenario", "fig2", "--tol", "abc"],
+         "argument --tol: invalid float value: 'abc'"),
+        (["frobnicate"], "argument command: invalid choice: "),
+        ([], "the following arguments are required: command"),
+        (["run"], "one of the arguments --scenario --config is required"),
+        (["sweep", "--scenario", "fig2", "--values", "1"],
+         "the following arguments are required: --param"),
+        (["presets", "list"], "unrecognized arguments: list"),
+    ], ids=["bad-float", "unknown-command", "no-command", "no-source", "sweep-without-param",
+            "presets-argument"])
+    def test_malformed_command_line_is_one_config_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = strict_error(captured.err)
+        assert err == {"category": "config", "message": err["message"]}
+        assert err["message"].startswith(message)
+
+    def test_scenario_and_config_fail_before_the_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        assert main(["run", "--scenario", "fig2", "--config", missing]) == 2
+        err = strict_error(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert err["message"] == "argument --config: not allowed with argument --scenario"
+        # alone, the same path is opened and fails as an I/O error
+        assert main(["run", "--config", missing]) == 4
+        err = strict_error(capsys.readouterr().err)
+        assert err["category"] == "io"
+        assert missing in err["message"]
+
+    def test_format_flag_and_set_share_one_check(self, tmp_path, capsys):
+        errors = []
+        for flag in (["--format", "xml"], ["--set", "output.format=xml"]):
+            assert main(["run", "--scenario", "fig2", *flag, "--out", str(tmp_path / "x")]) == 2
+            errors.append(strict_error(capsys.readouterr().err))
+        assert errors[0] == errors[1] == {"category": "config",
+                                          "message": "format must be 'csv' or 'json', got 'xml'"}
+        assert not list(tmp_path.iterdir())
+
+    # nothing is stepped over a zero span, and the squares in h0 overflowed
+    # unchecked: the run exited 0 with h0 = nan (inf) and numpy warnings
+    @pytest.mark.parametrize("override, message", [
+        ("x1=1e300", "output column h0 is not finite at t = 0.0: nan"),
+        ("v2=1e160", "output column h0 is not finite at t = 0.0: inf"),
+    ], ids=["x1", "v2"])
+    def test_zero_span_overflow_is_an_integration_error(self, override, message, tmp_path,
+                                                        capsys):
+        code = main(["run", "--scenario", "fig2", "--set", override, "--t-end", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = strict_error(capsys.readouterr().err)
+        assert err == {"category": "integration", "message": message, "t": 0.0, "h": None,
+                       "err_norm": None}
+        assert not list(tmp_path.iterdir())
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=cli_argv())
+    @example(argv=["run", "--scenario", "fig2", "--tol", "abc", "--t-end", "0",
+                   "--out", "{out}/x.csv"])
+    @example(argv=["run", "--scenario", "fig2", "--set", "x1=1e300", "--t-end", "0",
+                   "--out", "{out}/x.csv"])
+    def test_every_argv_runs_or_fails_in_one_json_line(self, argv):
+        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([arg.replace("{out}", out) for arg in argv])
+            assert not caught, [str(w.message) for w in caught]
+            if code != 0:
+                err = strict_error(stderr.getvalue())
+                assert {2: "config", 3: "integration", 4: "io"}[code] == err["category"]
+                return
+            assert stderr.getvalue() == ""
+            for path in Path(out).iterdir():
+                text = path.read_text()
+                if text.startswith("{"):
+                    json.loads(text, parse_constant=reject_constant)
+                else:
+                    cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+                    assert all(math.isfinite(float(cell)) for cell in cells), path.name
