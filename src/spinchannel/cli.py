@@ -10,7 +10,8 @@ object to stderr with a category of config (exit 2; a malformed command line
 is one too), integration (exit 3) or io (exit 4).  Integration errors also
 carry ``t``, ``h`` and ``err_norm``, the time, step size and last error norm
 of the stepper when it failed (null where there was none, or where the value
-is not finite: NaN and Infinity are not JSON).
+is not finite: NaN and Infinity are not JSON).  A failed sweep run names its
+value at the end of the message, e.g. ``(while sweeping x1 = 1e+300)``.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def _cmd_presets(_args) -> int:
     return EXIT_OK
 
 
-def _fail(category: str, message: str, code: int, **locus) -> int:
+def _fail(category: str, exc: Exception, code: int, **locus) -> int:
+    message = str(exc) + "".join(f" ({note})" for note in getattr(exc, "__notes__", []))
     error = {"category": category, "message": message,
              **{k: v if v is not None and math.isfinite(v) else None for k, v in locus.items()}}
     sys.stderr.write(json.dumps({"error": error}, allow_nan=False) + "\n")
@@ -163,12 +165,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, after printing it
         return exc.code
     except IntegrationError as exc:
-        return _fail("integration", str(exc), EXIT_INTEGRATION, t=exc.t, h=exc.h,
+        return _fail("integration", exc, EXIT_INTEGRATION, t=exc.t, h=exc.h,
                      err_norm=exc.err_norm)
     except OSError as exc:
-        return _fail("io", str(exc), EXIT_IO)
+        return _fail("io", exc, EXIT_IO)
     except ValueError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
+        return _fail("config", exc, EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -214,11 +214,16 @@ class TimeSeries:
     psis: np.ndarray
     Us: np.ndarray
     psi0: np.ndarray
-    final_state: HybridState
     diagnostics: IntegrationDiagnostics
 
     def __len__(self) -> int:
         return self.t.size
+
+    @property
+    def final_state(self) -> HybridState:
+        """The state at the last sample."""
+        return HybridState(t=self.t[-1], x1=float(self.x1[-1]), v1=float(self.v1[-1]),
+                           x2=float(self.x2[-1]), v2=float(self.v2[-1]), psi=self.psis[-1].copy())
 
 
 @dataclass
@@ -588,10 +593,7 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
                        v_int=sp.g * x1 * f1 + sp.g * x2 * f2,
                        sep_defect=separability_defect(Us))
     _check_columns(t_grid, columns)
-    final = HybridState(t=t_grid[-1], x1=float(x1[-1]), v1=float(v1[-1]),
-                        x2=float(x2[-1]), v2=float(v2[-1]), psi=psis[-1].copy())
-    return TimeSeries(t=t_grid, **columns, psis=psis, Us=Us, psi0=psi0,
-                      final_state=final, diagnostics=diag)
+    return TimeSeries(t=t_grid, **columns, psis=psis, Us=Us, psi0=psi0, diagnostics=diag)
 
 
 def _check_columns(t: np.ndarray, columns: dict[str, np.ndarray]) -> None:

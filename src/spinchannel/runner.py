@@ -112,8 +112,9 @@ def sweep(cfg: ScenarioConfig, parameter: str, values: list[float]) -> list[RunR
         try:
             results.append(run_scenario(swept))
         except Exception as exc:
-            if hasattr(exc, "add_note"):
-                exc.add_note(f"while sweeping {parameter} = {value}")
+            # add_note's list, written directly: Python 3.10 has no add_note
+            note = f"while sweeping {parameter} = {value}"
+            exc.__notes__ = [*getattr(exc, "__notes__", []), note]
             raise
     return results
 

@@ -3,11 +3,8 @@ import dataclasses
 import io
 import json
 import math
-import os
-import subprocess
-import sys
+import signal
 import tempfile
-import time
 import warnings
 from pathlib import Path
 
@@ -16,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cli_cases import CASE, CASES, CATEGORY, SAME_BYTES, check, reject_constant, strict_error
 from spinchannel import quantum_channel
 from spinchannel.cli import main
 from spinchannel.config import (SCHEMA, ConfigError, ScenarioConfig, apply_overrides,
@@ -25,8 +23,6 @@ from spinchannel.hybrid_dynamics import IntegrationDiagnostics, OscParams, TimeS
 from spinchannel.quantum_channel import GIBBS_EXPONENT_LIMIT
 from spinchannel.runner import (CSV_BLOCK_ROWS, HYBRID_CSV_HEADER, QUANTUM_CSV_HEADER,
                                 RunResult, _columns, run_scenario, sweep, write_output)
-
-ROOT = Path(__file__).resolve().parents[1]
 
 # every preset checked field-for-field against the published parameter tables
 CAPTION_TABLE = {
@@ -477,8 +473,7 @@ class TestSweep:
         # try that names the value
         with pytest.raises(ConfigError, match="K must be finite") as info:
             sweep(short(preset_config("fig2"), t_end=0.5), "K", [0.5, math.nan])
-        if sys.version_info >= (3, 11):
-            assert info.value.__notes__ == ["while sweeping K = nan"]
+        assert info.value.__notes__ == ["while sweeping K = nan"]
 
     def test_order_preserved(self):
         base = short(preset_config("fig2"), t_end=2.0)
@@ -493,7 +488,7 @@ def _empty_series():
                       s2x=z, s2y=z, s2z=z, otoc=z, two_point=zc, h0=z, h_nv=z,
                       v_int=z, sep_defect=z, psis=np.zeros((0, 4), complex),
                       Us=np.zeros((0, 4, 4), complex), psi0=np.zeros(4, complex),
-                      final_state=None, diagnostics=IntegrationDiagnostics())
+                      diagnostics=IntegrationDiagnostics())
 
 
 # values that '%.17g' writes apart although some compare equal (0.0, -0.0),
@@ -639,18 +634,61 @@ class TestWriteOutput:
             write_output(res, "xml", str(tmp_path / "x.xml"))
 
 
-def reject_constant(constant):
-    """parse_constant for json.loads that makes it strict: NaN, Infinity and
-    -Infinity are not JSON."""
-    raise ValueError(f"non-standard JSON constant {constant}")
+class Timeout(BaseException):
+    """A run_main time limit ran out: a BaseException, so that no ``except
+    Exception`` in the stepper or in main turns it into an exit code."""
 
 
-def strict_error(stderr: str) -> dict:
-    """The error object of a CLI failure: stderr must be exactly one line of
-    strict JSON."""
-    lines = stderr.splitlines()
-    assert len(lines) == 1, stderr
-    return json.loads(lines[0], parse_constant=reject_constant)["error"]
+def run_main(argv: list[str], seconds: float) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of main(argv) in process, which must
+    return within `seconds`; each warning is one more stderr line, as under
+    python -W default."""
+    def expire(signum, frame):
+        raise Timeout(f"no exit within {seconds} s")
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    stderr.writelines(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                      for w in caught)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# an environment variable set in process would not reach OpenBLAS
+IN_PROCESS = [case for case in CASES if not case.env]
+
+
+@pytest.fixture(scope="session")
+def cli_run(tmp_path_factory):
+    """The exit code, stdout, stderr and directory of a case's argv, run once
+    per session by run_main in its own empty directory and time limit."""
+    runs = {}
+
+    def run(argv: str):
+        if argv not in runs:
+            (case,) = [case for case in IN_PROCESS if case.argv == argv]
+            outdir = tmp_path_factory.mktemp("case")
+            runs[argv] = (*run_main(case.argv_in(outdir), case.timeout), outdir)
+        return runs[argv]
+    return run
+
+
+# one case per check of the CLI smoke step that the case table replaced
+SMOKE_STEP_CASES = frozenset("""fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig2-D-on-K-preset
+    fig5-F-overflows-d1 fig2-nan-first-step fig5-Omega-step-budget fig2-span-below-step-floor
+    fig2-zero-span-x1-overflows-h0 sweep-values-share-a-file sweep-repeated-value
+    fig8-below-gibbs-limit fig8-near-pure-bell fig2-omega1-overflows-D fig8-g-overflows-Omega0
+    fig2-dt_out-above-row-bound fig8-dt_out-above-row-bound fig2-K-times-gap-overflows-D
+    fig2-gamma-overflows-2gamma malformed-tol fig8-t50-one-thread fig8-t50
+    fig8-t2000-one-thread fig8-t2000 k-sweep-one-thread k-sweep""".split())
 
 
 # The command-line half of the fuzz contract: argv over every subcommand, the
@@ -687,6 +725,18 @@ def cli_argv(draw):
 
 
 class TestCli:
+    @pytest.mark.parametrize("name", [case.name for case in IN_PROCESS])
+    def test_cli_case(self, name, cli_run):
+        case = CASE[name]
+        assert check(case, *cli_run(case.argv)) == [], case.why
+
+    def test_case_table_keeps_every_smoke_check(self):
+        assert len(SMOKE_STEP_CASES) == 30
+        assert SMOKE_STEP_CASES <= set(CASE)
+        assert len(CASE) == len({(case.argv, str(case.env)) for case in CASES}) == len(CASES)
+        assert len(SAME_BYTES) == 4
+        assert all(name in CASE for group in SAME_BYTES for name in group)
+
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
@@ -694,14 +744,6 @@ class TestCli:
         # each preset's own fields, the ones in which it differs from the defaults
         assert "fig2   [hybrid] autonomous linear oscillators, weak connectivity\n" \
                "       K=0.1\n" in out
-
-    def test_run_writes_file(self, tmp_path, capsys):
-        out = tmp_path / "fig2.csv"
-        code = main(["run", "--scenario", "fig2", "--t-end", "1",
-                     "--out", str(out)])
-        assert code == 0
-        assert out.exists()
-        assert "wrote" in capsys.readouterr().out
 
     def test_run_with_config_file(self, tmp_path):
         cfg_file = tmp_path / "my.cfg"
@@ -772,20 +814,12 @@ class TestCli:
         assert table.shape == (4 * 6, len(QUANTUM_CSV_HEADER))
         assert np.isfinite(table).all()
 
-    # zeeman 0, n = 0 and beta = 50: the thermal state is the pure Bell ground
-    # state but for weights of ~1e-44
-    NEAR_PURE_BELL = ["run", "--scenario", "fig8", "--set", "quantum.omega0=1",
-                      "--set", "quantum.omega=3", "--set", "quantum.g=1.4142135623730951",
-                      "--set", "quantum.n=0", "--set", "beta=50", "--t-end", "50"]
-
-    def test_near_pure_bell_thermal_state_runs(self, tmp_path, capsys):
-        # Wootters' spin-flip eigenvalues missed the closed form by ~1e-8 here,
-        # more than CROSS_CHECK_TOL, and the run failed its cross-check (exit 3)
-        out = tmp_path / "x.csv"
-        assert main(self.NEAR_PURE_BELL + ["--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        table = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert table.shape == (5001, len(QUANTUM_CSV_HEADER))
+    def test_near_pure_bell_thermal_state_runs(self, cli_run):
+        # the case checks the exit, stderr and rows; the thermal concurrence
+        # is the closed form's 1.0 on every row
+        *_, outdir = cli_run(CASE["fig8-near-pure-bell"].argv)
+        table = np.loadtxt(outdir / "run.csv", delimiter=",", skiprows=1)
+        assert table.shape[1] == len(QUANTUM_CSV_HEADER)
         assert (table[:, QUANTUM_CSV_HEADER.index("thermal_concurrence")] == 1.0).all()
 
     def test_thermal_cross_check_failure_is_an_integration_error(self, tmp_path, capsys,
@@ -795,7 +829,7 @@ class TestCli:
         # is built from the same factor
         monkeypatch.setattr(quantum_channel, "_wootters_tau",
                             lambda X: np.zeros(X.shape[:-2] + (X.shape[-1],) * 2, complex))
-        code = main(self.NEAR_PURE_BELL + ["--out", str(tmp_path / "x.csv")])
+        code = main(CASE["fig8-near-pure-bell"].argv_in(tmp_path))
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -852,22 +886,13 @@ class TestCli:
         assert (tmp_path / "base_K_0.1.csv").exists()
         assert (tmp_path / "base_K_10.csv").exists()
 
-    def test_sweep_rejects_values_that_name_one_file(self, tmp_path, capsys):
-        # '{value:g}' keeps 6 significant digits: both values would write
-        # base_K_0.1.csv, and the second run used to overwrite the first
-        code = main(["sweep", "--scenario", "fig2", "--param", "K",
-                     "--values", "0.1000001,0.1000002", "--t-end", "1",
-                     "--out", str(tmp_path / "base.csv")])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])["error"]
-        assert err["category"] == "config"
-        assert err["message"] == (f"sweep values 0.1000001 and 0.1000002 would both be "
-                                  f"written to {tmp_path / 'base_K_0.1.csv'}")
-        assert not list(tmp_path.iterdir())
+    def test_sweep_rejects_values_that_name_one_file(self, cli_run):
+        # the case checks the exit, the error line and that no file is left
+        _, stdout, stderr, outdir = cli_run(CASE["sweep-values-share-a-file"].argv)
+        assert stdout == ""
+        path = outdir / "run_K_0.1.csv"
+        assert strict_error(stderr)["message"] == (f"sweep values 0.1000001 and 0.1000002 would "
+                                                   f"both be written to {path}")
 
     def test_sweep_repeated_value_keeps_its_name(self, tmp_path, capsys):
         code = main(["sweep", "--scenario", "fig2", "--param", "K",
@@ -887,17 +912,13 @@ class TestCli:
             return run_scenario(cfg)
 
         monkeypatch.setattr(runner, "run_scenario", counting_run)
-        code = main(["sweep", "--scenario", "fig2", "--param", "K",
-                     "--values", "0.1,0.1,10", "--t-end", "1",
-                     "--out", str(tmp_path / "base.csv")])
-        assert code == 0
+        # the case sweep-repeated-value checks the files this leaves
+        assert main(CASE["sweep-repeated-value"].argv_in(tmp_path)) == 0
         assert swept == [0.1, 10.0]
         wrote = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("wrote ")]
-        assert wrote == [f"wrote {tmp_path / 'base_K_0.1.csv'}",
-                         f"wrote {tmp_path / 'base_K_10.csv'}"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["base_K_0.1.csv",
-                                                              "base_K_10.csv"]
+        assert wrote == [f"wrote {tmp_path / 'run_K_0.1.csv'}",
+                         f"wrote {tmp_path / 'run_K_10.csv'}"]
         # the library sweep still gives one result per given value
         assert len(sweep(short(preset_config("fig2"), t_end=0.5), "K", [0.1, 0.1])) == 2
 
@@ -912,44 +933,12 @@ class TestCli:
         ["run", "--scenario", "fig2", "--tol", "nan", "--t-end", "1"],
         ["sweep", "--scenario", "fig2", "--param", "K", "--values", "nan", "--t-end", "1"],
     ])
-    def test_non_finite_input_fails_fast(self, argv, tmp_path, capsys):
-        start = time.perf_counter()
-        code = main(argv + ["--out", str(tmp_path / "x.csv")])
-        elapsed = time.perf_counter() - start
+    def test_non_finite_input_fails_fast(self, argv, tmp_path):
+        code, _, stderr = run_main(argv + ["--out", str(tmp_path / "x.csv")], 1.0)
         assert code == 2
-        err = json.loads(capsys.readouterr().err)["error"]
+        err = strict_error(stderr)
         assert err["category"] == "config"
         assert "finite" in err["message"]
-        assert elapsed < 1.0
-        assert not list(tmp_path.iterdir())
-
-    # The first two overflowed a parameter derivation into an OverflowError
-    # traceback (exit 1); the other two asked for a 728 TiB output grid
-    # (exit 1) and for more elements than numpy allows (exit 2 with numpy's
-    # bare message).  Each now fails in validate, before anything is allocated.
-    @pytest.mark.parametrize("scenario, override, message", [
-        ("fig2", "omega1=1e300", "the coupling D = K |omega1^2 - omega2^2| overflows: "
-                                 "OverflowError: "),
-        ("fig8", "quantum.g=1e200", "the effective coupling Omega0 = g^2/(omega0 - omega) at "
-                                    "n = 10.0 overflows: OverflowError: "),
-        ("fig2", "dt_out=1e-12", "the output grid has 1e+14 rows, more than "
-                                 "MAX_OUTPUT_ROWS = 1000000"),
-        ("fig8", "dt_out=1e-300", "the output grid has 4e+302 rows, more than "
-                                  "MAX_OUTPUT_ROWS = 1000000"),
-    ])
-    def test_underivable_config_fails_fast(self, scenario, override, message, tmp_path,
-                                           capsys):
-        start = time.perf_counter()
-        code = main(["run", "--scenario", scenario, "--set", override,
-                     "--out", str(tmp_path / "x.csv")])
-        elapsed = time.perf_counter() - start
-        assert code == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])["error"]
-        assert err["category"] == "config"
-        assert err["message"].startswith(message)
-        assert elapsed < 1.0
         assert not list(tmp_path.iterdir())
 
     # Each derived an infinite quantity without raising: D = inf failed later as
@@ -1067,54 +1056,25 @@ class TestCli:
         assert not list(tmp_path.iterdir())
 
     @staticmethod
-    def run_cli_process(argv, cwd):
-        """The CLI in its own interpreter, with numpy warnings printed as they
-        would be for a user (this suite turns them into exceptions)."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-        return subprocess.run([sys.executable, "-W", "default", "-m", "spinchannel.cli", *argv],
-                              cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
-
-    def assert_one_json_error_line(self, argv, tmp_path):
-        run = self.run_cli_process(["run", "--scenario", "fig5", *argv, "--t-end", "1",
-                                    "--out", str(tmp_path / "x.csv")], tmp_path)
-        assert run.returncode == 3, run.stderr
-        lines = run.stderr.splitlines()
-        assert len(lines) == 1, run.stderr
-        err = json.loads(lines[0])["error"]
+    def assert_one_json_error_line(sets, tmp_path):
+        code, _, stderr = run_main(["run", "--scenario", "fig5", *sets, "--t-end", "1",
+                                    "--out", str(tmp_path / "x.csv")], 30.0)
+        assert code == 3
+        err = strict_error(stderr)
         assert err["category"] == "integration"
         assert "FloatingPointError: non-finite first-derivative scale d1 = inf" in err["message"]
         assert err["t"] == 0.0 and err["h"] is None and err["err_norm"] is None
-        assert not (tmp_path / "x.csv").exists()
+        assert not list(tmp_path.iterdir())
 
     # Each overflows the scaled first derivative of the initial step-size
-    # estimate; it used to print a numpy RuntimeWarning ahead of the JSON
-    # object and fail with "ZeroDivisionError: float division by zero".
-    def test_overflowing_drive_amplitude(self, tmp_path):
-        self.assert_one_json_error_line(["--set", "F=1e300"], tmp_path)
-
+    # estimate, as the case fig5-F-overflows-d1 does; it used to print a numpy
+    # RuntimeWarning ahead of the JSON object and fail with
+    # "ZeroDivisionError: float division by zero".
     def test_overflowing_initial_velocity(self, tmp_path):
         self.assert_one_json_error_line(["--set", "v1=1e300"], tmp_path)
 
     def test_overflowing_duffing_force(self, tmp_path):
         self.assert_one_json_error_line(["--set", "x1=1e60", "--set", "xi=1"], tmp_path)
-
-    def test_non_finite_locus_is_null_in_strict_json(self, tmp_path):
-        # the damping and Duffing forces of the first trial step are -inf and
-        # +inf, and the first step size is NaN: the error object used to carry
-        # "h": NaN, which no strict JSON parser accepts
-        run = self.run_cli_process(["run", "--scenario", "fig2", "--set", "gamma=1e300",
-                                    "--set", "F=1", "--set", "v1=1e10", "--set", "xi=-1e300",
-                                    "--set", "x1=1e5", "--t-end", "1",
-                                    "--out", str(tmp_path / "x.csv")], tmp_path)
-        assert run.returncode == 3, run.stderr
-        lines = run.stderr.splitlines()
-        assert len(lines) == 1, run.stderr
-        err = json.loads(lines[0], parse_constant=reject_constant)["error"]
-        assert err["category"] == "integration"
-        assert "non-finite step size nan" in err["message"]
-        assert err["t"] == 0.0 and err["h"] is None and err["err_norm"] is None
-        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "fig2", "--t-end", "1e-20"],
@@ -1131,26 +1091,16 @@ class TestCli:
         assert len(lines) == 1 + 2
         assert float(lines[2].split(",")[0]) == float(argv[-1])
 
-    @pytest.mark.parametrize("argv", [
-        ["--scenario", "fig5", "--set", "Omega=1e308", "--t-end", "1"],
-        ["--scenario", "fig2", "--set", "D=1e10", "--t-end", "0.3"],
-    ])
-    def test_step_budget_ends_an_unbounded_run(self, argv, tmp_path, capsys):
-        # 1.7e7 and 2.4e6 trial steps per unit time: unbounded, these would
-        # step for about 15 min and 37 s; the step budget ends each after
-        # 1.1e5 and 1.03e5 trial steps, about 5 s
-        code = main(["run", *argv, "--out", str(tmp_path / "x.csv")])
-        assert code == 3
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])["error"]
-        assert err["category"] == "integration"
-        span = float(argv[-1])
-        assert err["message"].startswith("step budget exceeded: ")
+    @pytest.mark.parametrize("argv", [CASE["fig5-Omega-step-budget"].argv.split(),
+                                      CASE["fig2-D-step-budget"].argv.split()])
+    def test_step_budget_ends_an_unbounded_run(self, argv, cli_run):
+        # the case checks the exit, the error line's category and prefix and
+        # that no file is left, within a time limit an unbounded run exceeds
+        err = strict_error(cli_run(" ".join(argv))[2])
+        span = float(argv[argv.index("--t-end") + 1])
         assert err["message"].endswith(f"more than {100_000 + 10_000 * span:.6g} = 100000 + "
                                        f"10000 per unit time over the span {span!r}")
         assert 0.0 < err["t"] < span and err["h"] > 0.0 and 0.0 < err["err_norm"] <= 1.0
-        assert not list(tmp_path.iterdir())
 
     def test_integration_error_names_the_exception_class(self, tmp_path, capsys):
         # x1 = 1e150 overflows the first evaluation of the right-hand side
@@ -1224,22 +1174,6 @@ class TestCli:
                                           "message": "format must be 'csv' or 'json', got 'xml'"}
         assert not list(tmp_path.iterdir())
 
-    # nothing is stepped over a zero span, and the squares in h0 overflowed
-    # unchecked: the run exited 0 with h0 = nan (inf) and numpy warnings
-    @pytest.mark.parametrize("override, message", [
-        ("x1=1e300", "output column h0 is not finite at t = 0.0: nan"),
-        ("v2=1e160", "output column h0 is not finite at t = 0.0: inf"),
-    ], ids=["x1", "v2"])
-    def test_zero_span_overflow_is_an_integration_error(self, override, message, tmp_path,
-                                                        capsys):
-        code = main(["run", "--scenario", "fig2", "--set", override, "--t-end", "0",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 3
-        err = strict_error(capsys.readouterr().err)
-        assert err == {"category": "integration", "message": message, "t": 0.0, "h": None,
-                       "err_norm": None}
-        assert not list(tmp_path.iterdir())
-
     @settings(max_examples=200, deadline=None)
     @given(argv=cli_argv())
     @example(argv=["run", "--scenario", "fig2", "--tol", "abc", "--t-end", "0",
@@ -1247,17 +1181,13 @@ class TestCli:
     @example(argv=["run", "--scenario", "fig2", "--set", "x1=1e300", "--t-end", "0",
                    "--out", "{out}/x.csv"])
     def test_every_argv_runs_or_fails_in_one_json_line(self, argv):
-        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([arg.replace("{out}", out) for arg in argv])
-            assert not caught, [str(w.message) for w in caught]
+        with tempfile.TemporaryDirectory() as out:
+            code, _, stderr = run_main([arg.replace("{out}", out) for arg in argv], 10.0)
             if code != 0:
-                err = strict_error(stderr.getvalue())
-                assert {2: "config", 3: "integration", 4: "io"}[code] == err["category"]
+                err = strict_error(stderr)
+                assert CATEGORY[code] == err["category"]
                 return
-            assert stderr.getvalue() == ""
+            assert stderr == ""
             for path in Path(out).iterdir():
                 text = path.read_text()
                 if text.startswith("{"):
