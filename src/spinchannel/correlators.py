@@ -3,9 +3,12 @@
 ``otoc_product`` takes an accumulated propagator U (the full evolution
 operator from the initial time), the initial state, and a pair of unitary
 probe operators W, V.  Heisenberg picture: W(t) = U^dag W U, formed only by
-``_heisenberg``, which the quantum channel's thermal OTOC shares.  The
-commutator form of the OTOC and a scalar two-point correlator, which no run
-path needs, are test oracles in tests/oracles.py.
+``_heisenberg``.  ``otoc_product`` forms it unless it is given as the
+keyword-only ``Wt``; the quantum runner forms sigma1_z(t) once per photon
+number and passes it, through ``otoc_numeric``, here and to the thermal
+OTOC's trace route.  The commutator form of the OTOC and a scalar
+two-point correlator, which no run path needs, are test oracles in
+tests/oracles.py.
 
 Over a stack U, U^dag W and W(t) V psi0 are one GEMM each (``_rdot``); stack
 times stack, and V^dag and <psi0| acting from the left, stay on ``@`` (as
@@ -60,8 +63,8 @@ def _heisenberg(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _rdot(np.conj(U.swapaxes(-1, -2), order="C"), W) @ U
 
 
-def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray
-                 ) -> CorrelatorRecord:
+def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray, *,
+                 Wt: np.ndarray | None = None) -> CorrelatorRecord:
     """OTOC from the out-of-time-order product form.
 
     F = <psi0| U^dag W^dag U V^dag U^dag W U V |psi0>,  C = 1 - Re F.
@@ -69,12 +72,17 @@ def otoc_product(U: np.ndarray, psi0: np.ndarray, W: np.ndarray, V: np.ndarray
     (1/2) <psi0| [W(t),V]^dag [W(t),V] |psi0>.
     Also evaluates the two-point correlator G2 = <psi0| U^dag W U V |psi0>.
     A (..., 4, 4) stack U, each member checked, gives F, C, G2 of its shape.
+    W(t) = U^dag W U is formed here unless given as the keyword-only ``Wt``,
+    of U's shape; U, W and V are checked either way.
     """
     U = _check_unitary(U, "U")
     psi0 = _check_state(psi0)
     W = _check_unitary(W, "W")
     V = _check_unitary(V, "V")
-    Wt = _heisenberg(U, W)
+    Wt = _heisenberg(U, W) if Wt is None else np.asarray(Wt, dtype=complex)
+    if Wt.shape != U.shape:
+        raise ValueError(f"Heisenberg operator of shape {Wt.shape} does not match U of "
+                         f"shape {U.shape}")
     # kets are (..., 4, 1) columns so that every operator applies over the stack
     wt_v_psi = _rdot(Wt, (V @ psi0)[:, None])
     F = (psi0.conj() @ (_dagger(Wt) @ (_dagger(V) @ wt_v_psi)))[..., 0][()]

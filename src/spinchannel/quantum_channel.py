@@ -25,7 +25,13 @@ U = exp(-i h_total(p) t) on that t; ``otoc_numeric``, ``thermal_otoc`` and
 unless it is passed as the keyword-only ``U``.  Given or built, the results
 are the same bytes, so a caller that needs several quantities on one grid
 computes U once and shares it: the quantum runner builds one U per photon
-number, and its columns and both cross-checks all come from it.
+number, and its columns and both cross-checks all come from it.  In the
+same way ``otoc_numeric`` and ``thermal_otoc`` take sigma1_z(t) =
+U^dagger sigma1_z U as the keyword-only ``s1z_t``, else otoc_product and
+the trace route each form it from U with correlators' one Heisenberg
+operator; the runner forms it once per photon number, right after U, and
+its Bell OTOC column and the thermal-OTOC check share it.  A given U or
+s1z_t must have t's shape followed by (4, 4).
 A pure start stays pure, so the runner's concurrence column is
 2 |psi00 psi11 - psi01 psi10| of psi(t) = U psi0 (Hill & Wootters, PRL 78,
 5022 (1997)), exact to rounding.  Wootters' formula for a mixed state
@@ -36,12 +42,11 @@ tau tau^dagger is diagonal to rounding: one batched eigvalsh gives every
 R_i^2 to rounding, with no density stack.  ``concurrence`` takes any rho,
 whose eigh factor need not make tau tau^dagger diagonal; eigvalsh there
 would lose half the digits of a near-zero R_i, so it takes the singular
-values of tau.  The thermal OTOC's trace route forms sigma1_z(t) with
-correlators' one Heisenberg operator, and the probes sigma1_z, sigma2_z are
-spin_algebra's.  Every dense check, the trace of the evolved thermal state
-among them, is one worst-point search (``_cross_check``): a failure raises
-an IntegrationError that carries the worst t; an empty time grid gives
-empty results and checks nothing.
+values of tau.  The probes sigma1_z, sigma2_z are spin_algebra's.  Every
+dense check, the trace of the evolved thermal state among them, is one
+worst-point search (``_cross_check``): a failure raises an IntegrationError
+that carries the worst t; an empty time grid gives empty results and
+checks nothing.
 
 The oscillator is never represented as a Fock ladder: n is a fixed
 non-negative real parameter, and the n -> infinity limit (Omega_n -> 0,
@@ -181,26 +186,30 @@ def otoc_bell_spectral(p: QuantumChannelParams, t: float | np.ndarray) -> float 
     return 1.0 - np.cos(4.0 * p.Omega_n * np.asarray(t))
 
 
+def _on_grid(name: str, op: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """A given operator on t as a complex array, once its shape matches t."""
+    if np.shape(op) != np.shape(t) + (4, 4):
+        raise ValueError(f"{name} of shape {np.shape(op)} does not match t of shape "
+                         f"{np.shape(t)}; expected {np.shape(t) + (4, 4)}")
+    return np.asarray(op, dtype=complex)
+
+
 def _propagator(p: QuantumChannelParams, t: float | np.ndarray,
                 U: np.ndarray | None) -> np.ndarray:
-    """exp(-i h_total(p) t), or the given U as a complex array once its shape
-    matches t."""
-    if U is None:
-        return expm_hermitian(h_total(p), t)
-    if np.shape(U) != np.shape(t) + (4, 4):
-        raise ValueError(f"propagator of shape {np.shape(U)} does not match t of shape "
-                         f"{np.shape(t)}; expected {np.shape(t) + (4, 4)}")
-    return np.asarray(U, dtype=complex)
+    """exp(-i h_total(p) t), or the given U once its shape matches t."""
+    return expm_hermitian(h_total(p), t) if U is None else _on_grid("propagator", U, t)
 
 
 def otoc_numeric(p: QuantumChannelParams, t: float | np.ndarray,
-                 psi0: np.ndarray | None = None, *,
-                 U: np.ndarray | None = None) -> float | np.ndarray:
+                 psi0: np.ndarray | None = None, *, U: np.ndarray | None = None,
+                 s1z_t: np.ndarray | None = None) -> float | np.ndarray:
     """OTOC of sigma1_z(t), sigma2_z on psi0 (default the Bell state),
     evaluated from the exact propagator U of the effective Hamiltonian on t
-    (built here unless given)."""
+    and sigma1_z(t) = U^dagger sigma1_z U (each built from the other inputs
+    unless given)."""
     psi0 = bell_phi_minus() if psi0 is None else np.asarray(psi0, dtype=complex)
-    return correlators.otoc_product(_propagator(p, t, U), psi0, _S1Z, _S2Z).C
+    Wt = None if s1z_t is None else _on_grid("sigma1_z(t)", s1z_t, t)
+    return correlators.otoc_product(_propagator(p, t, U), psi0, _S1Z, _S2Z, Wt=Wt).C
 
 
 def thermal_density(p: QuantumChannelParams) -> np.ndarray:
@@ -270,7 +279,8 @@ def _cross_check(quantity: str, route: str, t, closed, numeric,
 
 
 def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray, *,
-                 U: np.ndarray | None = None) -> float | np.ndarray:
+                 U: np.ndarray | None = None,
+                 s1z_t: np.ndarray | None = None) -> float | np.ndarray:
     """Thermally averaged OTOC of sigma1_z(t), sigma2_z.
 
     Evaluates the closed form
@@ -279,16 +289,18 @@ def thermal_otoc(p: QuantumChannelParams, t: float | np.ndarray, *,
               / [cosh(2 beta (Omega0+omega0R)) + cosh(beta Omega_n)]
 
     and the defining trace Re Tr{rho sigma1_z(t) sigma2_z sigma1_z(t) sigma2_z},
-    with sigma1_z(t) = U^dagger sigma1_z U of the propagator U on t (built
-    here unless given) formed as otoc_product forms it; the two must agree
-    to within CROSS_CHECK_TOL at every t or the call fails.
+    with sigma1_z(t) = U^dagger sigma1_z U of the propagator U on t formed as
+    otoc_product forms it: built here from U (itself built unless given)
+    unless given as ``s1z_t``, which then needs no U.  The two must agree to
+    within CROSS_CHECK_TOL at every t or the call fails.
     """
     a = math.cosh(2 * p.beta * p.zeeman)
     b = math.cosh(p.beta * p.Omega_n)
     closed = 1.0 - (a + np.cos(4 * p.Omega_n * np.asarray(t)) * b) / (a + b)
 
-    U = _propagator(p, t, U)
-    m = correlators._heisenberg(U, _S1Z) * _S2Z_DIAG  # sigma1_z(t) sigma2_z
+    if s1z_t is None:
+        s1z_t = correlators._heisenberg(_propagator(p, t, U), _S1Z)
+    m = _on_grid("sigma1_z(t)", s1z_t, t) * _S2Z_DIAG  # sigma1_z(t) sigma2_z
     # Tr(rho m m) = Tr(m rho m): one GEMM for m rho, then an elementwise contraction
     traced = 1.0 - np.einsum("...ij,...ji->...", _rdot(m, thermal_density(p)), m).real
     _cross_check("thermal OTOC", "trace", t, closed, traced)

@@ -16,10 +16,11 @@ from itertools import chain, islice
 
 import numpy as np
 
+from . import correlators
 from . import quantum_channel as qc
 from .config import ConfigError, ScenarioConfig, apply_overrides, render_config, resolve_field
 from .hybrid_dynamics import HybridState, Regime, TimeSeries, _grid_intervals, integrate
-from .spin_algebra import _rdot, expm_hermitian
+from .spin_algebra import _S1Z, _rdot, expm_hermitian
 
 __all__ = ["RunResult", "run_scenario", "sweep", "write_output",
            "HYBRID_CSV_HEADER", "QUANTUM_CSV_HEADER"]
@@ -69,11 +70,13 @@ def _run_quantum(cfg: ScenarioConfig) -> tuple[dict[str, np.ndarray], dict]:
     parts = []
     for n in cfg.n_values:
         p = cfg.quantum_params(n)
-        # one propagator per photon number: every column and cross-check uses it
+        # one propagator per photon number: every column and cross-check uses it,
+        # and both OTOCs share its one sigma1_z(t) = U^dag sigma1_z U
         U = expm_hermitian(qc.h_total(p), ts)
+        s1z_t = correlators._heisenberg(U, _S1Z)
         c = qc._pure_concurrence(_rdot(U, psi0))  # psi(t) = U psi0 stays pure
-        parts.append((ts, np.full(ts.size, n), qc.otoc_numeric(p, ts, psi0, U=U),
-                      qc.thermal_otoc(p, ts, U=U), qc.thermal_concurrence(p, ts, U=U),
+        parts.append((ts, np.full(ts.size, n), qc.otoc_numeric(p, ts, psi0, U=U, s1z_t=s1z_t),
+                      qc.thermal_otoc(p, ts, s1z_t=s1z_t), qc.thermal_concurrence(p, ts, U=U),
                       c, qc.gme(c)))
     table = {name: np.concatenate(col) for name, col in zip(QUANTUM_CSV_HEADER, zip(*parts))}
     diagnostics = {"n_values": list(cfg.n_values), "samples_per_n": int(ts.size)}

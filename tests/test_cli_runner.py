@@ -396,8 +396,8 @@ class TestRunScenario:
         assert c.min() >= 0.0 and c.max() <= 1.0 + 4 * np.finfo(float).eps
 
     def test_one_propagator_per_photon_number(self, monkeypatch):
-        from spinchannel import quantum_channel, runner
-        calls = {"expm": 0, "density": 0}
+        from spinchannel import correlators, quantum_channel, runner
+        calls = {"expm": 0, "density": 0, "heisenberg": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -410,11 +410,14 @@ class TestRunScenario:
         monkeypatch.setattr(runner, "expm_hermitian", expm)
         monkeypatch.setattr(quantum_channel, "thermal_density",
                             counting("density", quantum_channel.thermal_density))
+        monkeypatch.setattr(correlators, "_heisenberg",
+                            counting("heisenberg", correlators._heisenberg))
         res = run_scenario(short(preset_config("fig8"), t_end=20.0))
         assert res.diagnostics["samples_per_n"] > 50
         # one U per photon number, shared by the runner's concurrence column,
-        # otoc_numeric, thermal_otoc and thermal_concurrence
-        assert calls == {"expm": 4, "density": 2 * 4}
+        # otoc_numeric, thermal_otoc and thermal_concurrence, and one
+        # sigma1_z(t) of it, shared by otoc_numeric and thermal_otoc
+        assert calls == {"expm": 4, "density": 2 * 4, "heisenberg": 4}
 
     def test_fig8_preset_yields_four_series(self):
         cfg = short(preset_config("fig8"), t_end=1.0, dt_out=0.5)
@@ -670,13 +673,24 @@ IN_PROCESS = [case for case in CASES if not case.env]
 def cli_run(tmp_path_factory):
     """The exit code, stdout, stderr and directory of a case's argv, run once
     per session by run_main in its own empty directory and time limit."""
+    return _run_once(tmp_path_factory)
+
+
+def _run_once(tmp_path_factory):
+    """cli_run's reader: each argv runs at most once, and a run that timed out
+    raises its Timeout again on every later read instead of running again."""
     runs = {}
 
     def run(argv: str):
         if argv not in runs:
             (case,) = [case for case in IN_PROCESS if case.argv == argv]
             outdir = tmp_path_factory.mktemp("case")
-            runs[argv] = (*run_main(case.argv_in(outdir), case.timeout), outdir)
+            try:
+                runs[argv] = (*run_main(case.argv_in(outdir), case.timeout), outdir)
+            except Timeout as exc:
+                runs[argv] = exc
+        if isinstance(runs[argv], Timeout):
+            raise runs[argv]
         return runs[argv]
     return run
 
@@ -736,6 +750,21 @@ class TestCli:
         assert len(CASE) == len({(case.argv, str(case.env)) for case in CASES}) == len(CASES)
         assert len(SAME_BYTES) == 4
         assert all(name in CASE for group in SAME_BYTES for name in group)
+
+    def test_a_timed_out_case_runs_once(self, tmp_path_factory, monkeypatch):
+        # a hung case costs its time limit once per session, not once per test
+        calls = []
+
+        def hang(argv, seconds):
+            calls.append(argv)
+            raise Timeout(f"no exit within {seconds} s")
+
+        monkeypatch.setitem(globals(), "run_main", hang)
+        run = _run_once(tmp_path_factory)
+        for _ in range(2):
+            with pytest.raises(Timeout, match="no exit within"):
+                run(IN_PROCESS[0].argv)
+        assert len(calls) == 1
 
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinchannel.correlators import otoc_product
+from spinchannel.correlators import _heisenberg, otoc_product
 from spinchannel.spin_algebra import (_dagger, _rdot, basis_state, bell_phi_minus, embed,
                                       expm_hermitian, pauli)
 
@@ -97,11 +97,23 @@ class TestOtocProduct:
         U, W, V = haar_stack(rng, leading), haar_unitary(rng), haar_unitary(rng)
         psi0 = random_state(rng)
         F, G2 = strided_view_otoc_product(U, psi0, W, V)
-        rec = otoc_product(U, psi0, W, V)
-        for got, expected in ((rec.F, F), (rec.G2, G2), (rec.C, 1.0 - F.real)):
-            assert np.shape(got) == leading
-            assert np.array_equal(np.atleast_1d(got).view(np.int64),
-                                  np.atleast_1d(expected).view(np.int64))
+        # a given W(t) selects no behaviour: the same bytes as forming it
+        given = otoc_product(U, psi0, W, V, Wt=_heisenberg(U, W))
+        for rec in (otoc_product(U, psi0, W, V), given):
+            for got, expected in ((rec.F, F), (rec.G2, G2), (rec.C, 1.0 - F.real)):
+                assert np.shape(got) == leading
+                assert np.array_equal(np.atleast_1d(got).view(np.int64),
+                                      np.atleast_1d(expected).view(np.int64))
+
+    def test_given_heisenberg_operator_must_match_U(self):
+        U = haar_stack(np.random.default_rng(31), (5,))
+        Wt = _heisenberg(U, S1Z)
+        for wrong in (Wt[:4], Wt[0], Wt[:, :3]):
+            with pytest.raises(ValueError, match="does not match U of shape"):
+                otoc_product(U, basis_state("01"), S1Z, S2Z, Wt=wrong)
+        U[2] *= 1.0 + 1e-6  # and U is still checked
+        with pytest.raises(ValueError, match="U is not unitary"):
+            otoc_product(U, basis_state("01"), S1Z, S2Z, Wt=Wt)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="U is not unitary"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ import oracles
 from oracles import ClassicalLimitRow, classical_limit_report, tavis_cummings_bell_otoc
 
 FIG8 = dict(omega0=3.0, omega=2.0, g=1.0)
+S1Z = embed(pauli("z"), 1)
 
 
 def params(n=0.0, beta=0.0, **kw):
@@ -822,6 +824,7 @@ class TestTimeGrid:
         psi0 = np.array(amplitudes[0::2]) + 1j * np.array(amplitudes[1::2])
         psi0 /= np.linalg.norm(psi0)
         U = expm_hermitian(h_total(p), ts)
+        s1z_t = correlators._heisenberg(U, S1Z)
         for evaluator in (otoc_numeric, thermal_otoc, thermal_concurrence):
             grid = evaluator(p, ts)
             assert grid.shape == ts.shape
@@ -830,8 +833,16 @@ class TestTimeGrid:
             # it, also when given as nested lists
             assert np.array_equal(evaluator(p, ts, U=U), grid), evaluator.__name__
             assert np.array_equal(evaluator(p, ts, U=U.tolist()), grid), evaluator.__name__
+        # nor does a shared sigma1_z(t), with U or without it
+        for evaluator in (otoc_numeric, thermal_otoc):
+            grid = evaluator(p, ts)
+            for shared in ({"s1z_t": s1z_t}, {"s1z_t": s1z_t.tolist()},
+                           {"U": U, "s1z_t": s1z_t}):
+                assert np.array_equal(evaluator(p, ts, **shared), grid), evaluator.__name__
         assert np.array_equal(otoc_numeric(p, ts, psi0), [otoc_numeric(p, t, psi0) for t in ts])
         assert np.array_equal(otoc_numeric(p, ts, psi0, U=U), otoc_numeric(p, ts, psi0))
+        assert np.array_equal(otoc_numeric(p, ts, psi0, U=U, s1z_t=s1z_t),
+                              otoc_numeric(p, ts, psi0))
         assert U.shape == (ts.size, 4, 4)
         assert all(np.array_equal(U[k], expm_hermitian(h_total(p), t)) for k, t in enumerate(ts))
         rhos = U @ np.outer(psi0, psi0.conj()) @ U.conj().swapaxes(-1, -2)
@@ -864,8 +875,10 @@ class TestTimeGrid:
 
 class TestHeisenbergOperator:
     """sigma1_z(t) = U^dagger sigma1_z U has one definition,
-    correlators._heisenberg, which the thermal OTOC's trace route and
-    otoc_product both call."""
+    correlators._heisenberg.  The thermal OTOC's trace route and otoc_product
+    each call it unless sigma1_z(t) is given, and both routes form the same
+    bytes; so the quantum runner forms it once per photon number and shares
+    it with both (TestRunScenario counts the calls)."""
 
     def test_thermal_trace_route_and_otoc_product_form_the_same_bytes(self, monkeypatch):
         shared = correlators._heisenberg
@@ -909,8 +922,13 @@ class TestBatchedCrossChecks:
             return U
 
         # the propagator passed in, then the one the evaluator builds
+        U = corrupted(h_total(p), self.TS)
         with pytest.raises(RuntimeError, match="cross-check failed") as passed:
-            evaluator(p, self.TS, U=corrupted(h_total(p), self.TS))
+            evaluator(p, self.TS, U=U)
+        if evaluator is thermal_otoc:  # and sigma1_z(t) passed in, formed from U
+            with pytest.raises(RuntimeError, match="cross-check failed") as shared:
+                evaluator(p, self.TS, s1z_t=correlators._heisenberg(U, S1Z))
+            assert str(shared.value) == str(passed.value)
         monkeypatch.setattr(quantum_channel, "expm_hermitian", corrupted)
         with pytest.raises(RuntimeError, match="cross-check failed") as built:
             evaluator(p, self.TS)
@@ -934,10 +952,16 @@ class TestBatchedCrossChecks:
     def test_propagator_must_match_the_grid(self, evaluator):
         p = params(n=3.0, beta=0.5)
         U = expm_hermitian(h_total(p), self.TS[:50])
-        with pytest.raises(ValueError, match="does not match t"):
-            evaluator(p, self.TS[:49], U=U)
-        with pytest.raises(ValueError, match="does not match t"):
-            evaluator(p, 0.5, U=U)
+        shared = [("propagator", {"U": U})]
+        if evaluator is not thermal_concurrence:
+            s1z_t = correlators._heisenberg(U, S1Z)
+            shared += [("sigma1_z(t)", {"s1z_t": s1z_t}),
+                       ("sigma1_z(t)", {"U": U[:49], "s1z_t": s1z_t})]
+        for name, kwargs in shared:
+            with pytest.raises(ValueError, match=rf"^{re.escape(name)} .*does not match t"):
+                evaluator(p, self.TS[:49], **kwargs)
+            with pytest.raises(ValueError, match=rf"^{re.escape(name)} .*does not match t"):
+                evaluator(p, 0.5, **kwargs)
 
     def test_non_unitary_slice_rejected(self):
         U = expm_hermitian(h_total(params(n=3.0)), self.TS[:50])

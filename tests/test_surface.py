@@ -68,7 +68,10 @@ def test_removed_names_are_gone(name):
 
 def test_removed_knobs_are_gone():
     assert not hasattr(spinchannel.SpinParams, "from_rabi")
-    assert list(inspect.signature(spinchannel.otoc_product).parameters) == ["U", "psi0", "W", "V"]
+    # the keyword-only Wt lets the quantum runner share its W(t) = U^dag W U
+    parameters = inspect.signature(spinchannel.otoc_product).parameters
+    assert list(parameters) == ["U", "psi0", "W", "V", "Wt"]
+    assert parameters["Wt"].kind is inspect.Parameter.KEYWORD_ONLY
     assert [f.name for f in dataclasses.fields(spinchannel.CorrelatorRecord)] == ["F", "C", "G2"]
     assert "t0" not in inspect.signature(spinchannel.propagate_nofeedback).parameters
     # integrate starts from U = I and samples the sigma_z probes
