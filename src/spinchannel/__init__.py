@@ -4,23 +4,21 @@ classical or quantum oscillator channel.
 Submodules:
     spin_algebra       dense one-/two-qubit operators, states, exact propagators
     hybrid_dynamics    mean-field spin-oscillator integration (classical channel)
-                       and feedback-free spin propagation on a prescribed trajectory
     correlators        the OTOC and two-point correlator of a propagator stack
     quantum_channel    effective oscillator-mediated spin-spin model (quantum channel)
     config / runner    scenario presets, sweeps, CSV/JSON output
     cli                command-line entry point
 
 Second definitions that no run path uses (the complex equations of motion,
-the commutator-form OTOC, the classical-limit report) are test oracles in
-tests/oracles.py.
+the feedback-free control on a prescribed trajectory, the commutator-form
+OTOC, the classical-limit report) are test oracles in tests/oracles.py.
 """
 
 from .spin_algebra import (SpinParams, basis_state, bell_phi_minus, embed,
                            expm_hermitian, pauli, sz_nv)
-from .hybrid_dynamics import (CoefficientSeries, HybridState, IntegrationError,
-                              OscParams, Regime, RegimeError, TimeSeries,
-                              classical_energy, energy_budget, integrate,
-                              propagate_nofeedback)
+from .hybrid_dynamics import (HybridState, IntegrationError, OscParams, Regime,
+                              RegimeError, TimeSeries, classical_energy, energy_budget,
+                              integrate)
 from .correlators import CorrelatorRecord, otoc_product
 from .quantum_channel import (QuantumChannelParams, concurrence, eigensystem, gme,
                               h_total, otoc_bell_spectral, otoc_numeric,

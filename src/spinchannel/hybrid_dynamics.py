@@ -24,11 +24,8 @@ span (``MIN_STEP_BUDGET``, ``STEPS_PER_UNIT_TIME``), so a step size that
 collapses cannot make a run's work unbounded.  The sampled states are
 stored during stepping and every output column is evaluated afterwards in
 one pass over the whole stack, which checks that every value is finite.
-
-``propagate_nofeedback`` is the control case without back-action: the spins
-follow a prescribed oscillator trajectory, and U alone is integrated with
-the same left-multiplication maps, accepted-step guard, sample fix-up and
-output grid as the coupled run.
+The feedback-free control, the spins on a prescribed trajectory, is a test
+oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,8 +51,6 @@ __all__ = [
     "EnergyBudget",
     "separability_defect",
     "integrate",
-    "CoefficientSeries",
-    "propagate_nofeedback",
     "classical_energy",
     "energy_budget",
 ]
@@ -227,19 +221,6 @@ class TimeSeries:
 
 
 @dataclass
-class CoefficientSeries:
-    """Basis coefficients C1..C4 of the propagated wavefunction on a uniform
-    time grid (``coefficients[k]`` is the length-4 vector at ``t[k]``)."""
-
-    t: np.ndarray
-    coefficients: np.ndarray
-    max_norm_drift: float
-
-    def __len__(self) -> int:
-        return self.t.size
-
-
-@dataclass
 class EnergyBudget:
     """Energy bookkeeping of a run: classical H0, spin <H_NV>, interaction <V>,
     their modulation depths (max - min), and the drift of the total.
@@ -338,25 +319,17 @@ def _real_form(M: np.ndarray) -> np.ndarray:
     return np.kron(M.real, np.eye(2)) + np.kron(M.imag, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
-def _spin_maps(sp: SpinParams) -> np.ndarray:
-    """The left-multiplication maps U -> -i M U of M = Z4, S1, S2 on the 32
-    reals u of U, stacked as one real (96, 32) matrix, so that
-    dU/dt = [1, g x1, g x2] @ (maps @ u).reshape(3, 32)."""
-    S1, S2, Z4 = _coupling_operators(sp)
-    return np.vstack([_real_form(np.kron(-1j * M, _I4)) for M in (Z4, S1, S2)])
-
-
 def _hybrid_rhs(op: OscParams, sp: SpinParams, psi0: np.ndarray):
     """Right-hand side of the 36-real state (x1, v1, x2, v2, U) with
     psi = U psi0, in real form.
 
     dU/dt = -i (Z4 + g x1 S1 + g x2 S2) U is real-linear in the 32 reals u of
     U, and <S_i> = <psi|S_i|psi> is a real quadratic form u.Q_i u in them.
-    One stacked (160, 32) matrix B holds the three maps of ``_spin_maps``
-    and Q_1, Q_2, so an evaluation is one B @ u, one (2, 32) @ u and one
-    linear combination of the three maps' images.  The oscillator forces are
-    evaluated inline, with ``tests/oracles.py::_force`` their bit-for-bit
-    reference.
+    One stacked (160, 32) matrix B holds the left-multiplication maps
+    U -> -i M U of M = Z4, S1, S2 and Q_1, Q_2, so an evaluation is one
+    B @ u, one (2, 32) @ u and one linear combination, [1, g x1, g x2], of
+    the three maps' images.  The oscillator forces are evaluated inline,
+    with ``tests/oracles.py::_force`` their bit-for-bit reference.
 
     Hot-path rule: the closure owns the 160-real intermediate z = B u and
     its two views, and each call overwrites them (``B.dot(u, z)``, the same
@@ -367,9 +340,10 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, psi0: np.ndarray):
     has its own.
     """
     g = sp.g
-    S1, S2, _ = _coupling_operators(sp)
+    S1, S2, Z4 = _coupling_operators(sp)
     lift = _real_form(np.kron(_I4, psi0[None, :]))     # u -> psi, (8, 32)
-    B = np.vstack([_spin_maps(sp)] + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
+    B = np.vstack([_real_form(np.kron(-1j * M, _I4)) for M in (Z4, S1, S2)]
+                  + [lift.T @ _real_form(S) @ lift for S in (S1, S2)])
 
     two_gamma, xi, F, Omega, D = 2.0 * op.gamma, op.xi, op.F, op.Omega, op.D
     w1sq, w2sq = op.omega1**2, op.omega2**2
@@ -396,28 +370,6 @@ def _hybrid_rhs(op: OscParams, sp: SpinParams, psi0: np.ndarray):
     return rhs
 
 
-def _nofeedback_rhs(traj: Callable[[float], tuple[float, float]], sp: SpinParams):
-    """Right-hand side of the 32 reals u of U under a prescribed trajectory:
-    dU/dt = [1, g x1, g x2] @ (maps @ u).reshape(3, 32), written into the
-    caller's ``out`` as ``_hybrid_rhs`` writes its own."""
-    maps = _spin_maps(sp)
-    g = sp.g
-
-    def rhs(t: float, u: np.ndarray, out: np.ndarray) -> None:
-        x1, x2 = traj(t)
-        np.array([1.0, g * x1, g * x2]).dot(maps.dot(u).reshape(3, 32), out)
-
-    return rhs
-
-
-def _checked_state(psi: np.ndarray, tol: float) -> np.ndarray:
-    """A complex copy of the initial psi, once tol lies in [1e-12, 1e-4] and
-    psi is normalized."""
-    if not (1e-12 <= tol <= 1e-4):
-        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
-    return correlators._check_state(psi).copy()
-
-
 def _grid_intervals(span: float, dt_out: float) -> int:
     """Intervals of the uniform output grid over span: dt_out is adjusted to
     the nearest exact divisor, so the grid lands on both ends; none if span is 0."""
@@ -426,24 +378,17 @@ def _grid_intervals(span: float, dt_out: float) -> int:
     return max(1, round(span / dt_out)) if span else 0
 
 
-def _time_grid(t0: float, t_end: float, dt_out: float) -> np.ndarray:
-    """Uniform output grid from t0 to t_end (the point t0 alone if they are equal)."""
-    n_out = _grid_intervals(t_end - t0, dt_out)
-    if n_out == 0:
-        return np.array([t0])
-    return t0 + (t_end - t0) * np.arange(n_out + 1) / n_out
-
-
 def _guard_step(y: np.ndarray, psi0: np.ndarray, diag: IntegrationDiagnostics,
                 tol: float) -> np.ndarray | None:
-    """Accepted-step guard of a state whose last 32 reals are U.
+    """Accepted-step guard of the 36-real state y = (x1, v1, x2, v2, U) of
+    ``integrate``, U as 16 interleaved (re, im) pairs in row-major order.
 
     Records the norm drift of psi = U psi0 and the unitarity defect of U,
     aborts once the accumulated norm drift exceeds CUM_DRIFT_LIMIT and, above
     RENORM_THRESHOLD, returns the state with U replaced by its polar factor
     (None if U is kept).
     """
-    U = y[-32:].view(complex).reshape(4, 4)
+    U = y[4:].view(complex).reshape(4, 4)
     G = U.conj().T.dot(U)
     # |psi|^2 = psi0^dagger G psi0
     drift = abs(math.sqrt(np.vdot(psi0, G.dot(psi0)).real) - 1.0)
@@ -462,7 +407,7 @@ def _guard_step(y: np.ndarray, psi0: np.ndarray, diag: IntegrationDiagnostics,
     if drift <= RENORM_THRESHOLD and udef <= RENORM_THRESHOLD:
         return None
     y = y.copy()
-    y[-32:] = _polar_projection(U, E, udef).reshape(-1).view(float)
+    y[4:] = _polar_projection(U, E, udef).reshape(-1).view(float)
     return y
 
 
@@ -495,13 +440,14 @@ def _fix_samples(U: np.ndarray, psi0: np.ndarray, t: np.ndarray,
 def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float,
                psi0: np.ndarray, diag: IntegrationDiagnostics
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate a state whose last 32 reals are U, with psi = U psi0, by the
-    adaptive DP45 from t_grid[0] to t_end, under the accepted-step guard,
-    sampling its dense output at every grid time.
+    """Integrate the 36-real state y = (x1, v1, x2, v2, U) of ``integrate``,
+    U as 16 interleaved (re, im) pairs in row-major order and psi = U psi0,
+    by the adaptive DP45 from t_grid[0] to t_end, under the accepted-step
+    guard, sampling its dense output at every grid time.
 
-    Returns the leading reals sampled on the grid, (len(y0) - 32, n), and
-    the sampled U, (n, 4, 4), and psi, (n, 4), after the sample fix-up; both
-    are split once from one (n, len(y0)) buffer of a row per grid time.
+    Returns the sampled (x1, v1, x2, v2), (4, n), and the sampled U,
+    (n, 4, 4), and psi, (n, 4), after the sample fix-up; all are split once
+    from one (n, 36) buffer of a row per grid time.
     The run fails once its trial steps exceed the step budget
     MIN_STEP_BUDGET + STEPS_PER_UNIT_TIME * (t_end - t0), checked after each
     step.  Failures of the stepping loop other than IntegrationError are
@@ -509,8 +455,8 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
     IntegrationError from the loop leaves with the stepper's t, h and last
     err_norm.
     """
-    n, m = t_grid.size, y0.size - 32
-    samples = np.empty((n, y0.size))
+    n = t_grid.size
+    samples = np.empty((n, 36))
     samples[0] = y0
     if n > 1:
         grid = t_grid.tolist()
@@ -543,8 +489,8 @@ def _propagate(rhs, y0: np.ndarray, t_grid: np.ndarray, t_end: float, tol: float
                                    f"{type(exc).__name__}: {exc}", t, h, err_norm) from exc
         diag.n_steps = stepper.n_steps
         diag.n_rejected = stepper.n_rejected
-    Us = samples[:, m:].copy().view(complex).reshape(n, 4, 4)
-    return samples[:, :m].T.copy(), Us, _fix_samples(Us, psi0, t_grid, diag)
+    Us = samples[:, 4:].copy().view(complex).reshape(n, 4, 4)
+    return samples[:, :4].T.copy(), Us, _fix_samples(Us, psi0, t_grid, diag)
 
 
 def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
@@ -565,8 +511,12 @@ def integrate(initial: HybridState, op: OscParams, sp: SpinParams,
     """
     if t_end < initial.t:
         raise ValueError(f"t_end ({t_end}) must not precede the initial time ({initial.t})")
-    psi0 = _checked_state(initial.psi, tol)
-    t_grid = _time_grid(initial.t, t_end, dt_out)
+    if not (1e-12 <= tol <= 1e-4):
+        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
+    psi0 = correlators._check_state(initial.psi).copy()
+    t0 = initial.t
+    n_out = _grid_intervals(t_end - t0, dt_out)
+    t_grid = t0 + (t_end - t0) * np.arange(n_out + 1) / n_out if n_out else np.array([t0])
     Regime.classify(op)
 
     diag = IntegrationDiagnostics()
@@ -605,28 +555,6 @@ def _check_columns(t: np.ndarray, columns: dict[str, np.ndarray]) -> None:
         name = next(name for name, col in columns.items() if not np.isfinite(col[k]))
         raise IntegrationError(f"output column {name} is not finite at t = {float(t[k])!r}: "
                                f"{columns[name][k]}", t=float(t[k]))
-
-
-def propagate_nofeedback(traj: Callable[[float], tuple[float, float]], sp: SpinParams,
-                         psi0: np.ndarray, t_end: float, tol: float,
-                         dt_out: float = 0.05) -> CoefficientSeries:
-    """Propagate the two-spin wavefunction under a prescribed trajectory.
-
-    ``traj(t)`` supplies the oscillator displacements (x1, x2); the spins
-    evolve under the corresponding time-dependent Hamiltonian with no
-    back-action on the trajectory.  U alone is integrated from the identity
-    with the maps of ``_spin_maps``, under the accepted-step guard and the
-    sample fix-up of ``integrate`` (same tol range, thresholds and drift
-    limit), and the coefficients are U(t) psi0 on the uniform grid from t = 0.
-    """
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    psi0 = _checked_state(psi0, tol)
-    t_grid = _time_grid(0.0, t_end, dt_out)
-    diag = IntegrationDiagnostics()
-    _, _, psis = _propagate(_nofeedback_rhs(traj, sp), _I4.reshape(-1).view(float), t_grid,
-                            t_end, tol, psi0, diag)
-    return CoefficientSeries(t=t_grid, coefficients=psis, max_norm_drift=diag.max_step_norm_drift)
 
 
 def energy_budget(series: TimeSeries, sp: SpinParams, op: OscParams) -> EnergyBudget:

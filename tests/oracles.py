@@ -4,14 +4,19 @@ No run path calls these; they are kept here, as written when they lived in
 ``spinchannel``, so that each run-path routine is checked against an
 independent formula.  The Tavis-Cummings model never lived there: it is the
 full spin-oscillator model that the quantum channel's effective Hamiltonian
-approximates.  Each oracle and the tests that use it:
+approximates.  Nor did ``feedback_free_psi``, which shares no code with the
+package's stepping path (no DP45, accepted-step guard or real-form maps), so
+that it checks ``integrate`` independently.  Each oracle and the tests that
+use it:
 
     _force                  the oscillator accelerations of ``derivative``, and
                             test_hybrid_dynamics.py::TestHybridRhsBuffer (the forces
                             that ``_hybrid_rhs`` evaluates inline, bit for bit)
     site_hamiltonian        test_hybrid_dynamics.py::TestSpinHamiltonian
     build_spin_hamiltonian  test_hybrid_dynamics.py::TestSpinHamiltonian, TestDerivative,
-                            TestPropagateNoFeedback
+                            TestPropagateNoFeedback (its exact propagator at g = 0)
+    feedback_free_psi       test_hybrid_dynamics.py::TestPropagateNoFeedback (integrate at
+                            tiny g)
     derivative              test_hybrid_dynamics.py::TestDerivative, TestHybridRhs (of _hybrid_rhs)
     Derivative              the return type of ``derivative``
     _real_expectation       the mean-field forces of ``derivative``
@@ -33,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from spinchannel.correlators import _check_state, _check_unitary
 from spinchannel.hybrid_dynamics import HybridState, OscParams
@@ -80,6 +86,20 @@ def build_spin_hamiltonian(x1: float, x2: float, sp: SpinParams) -> np.ndarray:
     terms, hence its propagator factorizes exactly.
     """
     return np.kron(site_hamiltonian(x1, sp), _I2) + np.kron(_I2, site_hamiltonian(x2, sp))
+
+
+def feedback_free_psi(traj, sp: SpinParams, psi0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """psi(t) at each t in ts, an (n, 4) array, of the two spins on the
+    prescribed oscillator trajectory traj(t) = (x1, x2), which they do not act
+    back on: scipy's DOP853 at rtol = atol = 1e-13 on the complex Schroedinger
+    equation d psi/dt = -i build_spin_hamiltonian(x1(t), x2(t)) psi, from
+    psi0 at ts[0]."""
+    sol = solve_ivp(lambda t, psi: -1j * (build_spin_hamiltonian(*traj(t), sp) @ psi),
+                    (ts[0], ts[-1]), np.asarray(psi0, dtype=complex), method="DOP853",
+                    t_eval=ts, rtol=1e-13, atol=1e-13)
+    if not sol.success:
+        raise RuntimeError(f"DOP853 failed: {sol.message}")
+    return sol.y.T
 
 
 @dataclass(frozen=True)

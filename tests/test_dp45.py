@@ -8,8 +8,7 @@ from scipy.integrate import solve_ivp
 from spinchannel import hybrid_dynamics, preset_config, runner
 from spinchannel.dp45 import (_A, _B, _C, _E, _MAX_FACTOR, _MIN_FACTOR, _P, _PI_ALPHA,
                               _PI_BETA, _SAFETY, DormandPrince45, StepSizeUnderflowError)
-from spinchannel.hybrid_dynamics import (IntegrationDiagnostics, _guard_step, _hybrid_rhs,
-                                         _nofeedback_rhs, _spin_maps)
+from spinchannel.hybrid_dynamics import IntegrationDiagnostics, _guard_step, _hybrid_rhs
 
 
 def drive(stepper):
@@ -380,38 +379,6 @@ class TestInPlaceStageSums:
 
         def guard(stepper):
             y = _guard_step(stepper.y, psi0, diags[stepper], cfg.tol)
-            if y is not None:
-                stepper.replace_state(y)
-                projected[stepper] += 1
-
-        steps = assert_same_steps(ours, ref, after_step=guard)
-        assert ours.t == ref.t == 20.0
-        assert diags[ours] == diags[ref]
-        assert projected[ours] == projected[ref]
-        assert 0 < projected[ours] < steps
-
-    def test_nofeedback_rhs(self):
-        # propagate_nofeedback's rhs, written into the stage rows, against the
-        # allocating expression it replaced, under the same guard
-        cfg = preset_config("fig2")
-        sp, psi0, tol = cfg.spin_params(), cfg.initial_spin_state(), cfg.tol
-        maps, g = _spin_maps(sp), sp.g
-
-        def traj(t):
-            return math.cos(1.3 * t), 0.5 * math.sin(0.7 * t)
-
-        def allocating(t, u, out):
-            x1, x2 = traj(t)
-            out[:] = np.array([1.0, g * x1, g * x2]).dot(maps.dot(u).reshape(3, 32))
-
-        u0 = np.eye(4, dtype=complex).reshape(-1).view(float)
-        ours = DormandPrince45(_nofeedback_rhs(traj, sp), 0.0, u0, 20.0, tol=tol)
-        ref = AllocatingDP45(allocating, 0.0, u0, 20.0, tol=tol)
-        diags = {ours: IntegrationDiagnostics(), ref: IntegrationDiagnostics()}
-        projected = {ours: 0, ref: 0}
-
-        def guard(stepper):
-            y = _guard_step(stepper.y, psi0, diags[stepper], tol)
             if y is not None:
                 stepper.replace_state(y)
                 projected[stepper] += 1

@@ -22,9 +22,8 @@ MODULES = ["spin_algebra", "hybrid_dynamics", "correlators", "quantum_channel",
 PACKAGE_EXPORTS = {
     "SpinParams", "basis_state", "bell_phi_minus", "embed", "expm_hermitian", "pauli",
     "sz_nv",
-    "CoefficientSeries", "HybridState", "IntegrationError", "OscParams", "Regime",
+    "HybridState", "IntegrationError", "OscParams", "Regime",
     "RegimeError", "TimeSeries", "classical_energy", "energy_budget", "integrate",
-    "propagate_nofeedback",
     "CorrelatorRecord", "otoc_product",
     "QuantumChannelParams", "concurrence", "eigensystem", "gme", "h_total",
     "otoc_bell_spectral", "otoc_numeric", "thermal_concurrence",
@@ -34,10 +33,12 @@ PACKAGE_EXPORTS = {
 }
 
 # moved to tests/oracles.py, or deleted (connectivity; otoc_analytic, the printed
-# Bell-state OTOC, which the closed form and the full model contradict)
+# Bell-state OTOC, which the closed form and the full model contradict; the
+# feedback-free propagator, whose oracle is tests/oracles.py::feedback_free_psi)
 REMOVED = ["derivative", "build_spin_hamiltonian", "site_hamiltonian", "_real_expectation",
            "connectivity", "otoc_commutator", "two_point", "expectation", "commutator",
-           "classical_limit_report", "ClassicalLimitRow", "otoc_analytic"]
+           "classical_limit_report", "ClassicalLimitRow", "otoc_analytic",
+           "propagate_nofeedback", "CoefficientSeries", "_nofeedback_rhs"]
 
 
 def modules():
@@ -73,7 +74,6 @@ def test_removed_knobs_are_gone():
     assert list(parameters) == ["U", "psi0", "W", "V", "Wt"]
     assert parameters["Wt"].kind is inspect.Parameter.KEYWORD_ONLY
     assert [f.name for f in dataclasses.fields(spinchannel.CorrelatorRecord)] == ["F", "C", "G2"]
-    assert "t0" not in inspect.signature(spinchannel.propagate_nofeedback).parameters
     # integrate starts from U = I and samples the sigma_z probes
     assert "otoc_ops" not in inspect.signature(spinchannel.integrate).parameters
     assert "U" not in [f.name for f in dataclasses.fields(spinchannel.HybridState)]
