@@ -119,6 +119,10 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--values expects comma-separated numbers, got {args.values!r}") \
             from None
+    # before any path: NaN != NaN, so the one-file-per-value check below
+    # would report a NaN as two values sharing one file
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"--values expects finite numbers, got {args.values!r}")
     if not values:
         print("empty value list; nothing to do")
         return EXIT_OK

@@ -372,9 +372,11 @@ def render_config(cfg: ScenarioConfig) -> str:
     """
     out = ["[scenario]", f"name = {cfg.name if cfg.name in PRESETS else 'custom'}",
            f"kind = {cfg.kind}"]
-    for section in ("spin", "oscillators", "quantum", "initial", "run", "output"):
+    for section, keys in SCHEMA.items():
+        if section == "scenario":
+            continue
         body = []
-        for key, (attr, _) in SCHEMA[section].items():
+        for key, (attr, _) in keys.items():
             value = getattr(cfg, attr)
             if value is None:
                 continue

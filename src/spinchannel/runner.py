@@ -110,9 +110,10 @@ def sweep(cfg: ScenarioConfig, parameter: str, values: list[float]) -> list[RunR
     for value in values:
         if not isinstance(value, (int, float)):
             raise ConfigError(f"sweep values must be numbers, got {value!r}")
-        swept = apply_overrides(cfg, {attr: (float(value),) if attr == "n_values"
-                                      else float(value)})
         try:
+            # the field's own caster: a list field gets its tuple, a finite
+            # float keeps its bits through repr, and a non-finite one fails
+            swept = apply_overrides(cfg, {attr: caster(repr(float(value)))})
             results.append(run_scenario(swept))
         except Exception as exc:
             # add_note's list, written directly: Python 3.10 has no add_note
