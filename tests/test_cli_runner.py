@@ -816,9 +816,12 @@ class TestCli:
         p = preset_config("fig8").quantum_params(10.0)
         return 2 * abs(p.zeeman) / GIBBS_EXPONENT_LIMIT
 
-    def test_low_temperature_just_outside_the_limit_is_a_config_error(self, tmp_path, capsys):
-        # the cases fig8-*-below-gibbs-limit check fixed temperatures
-        override = f"T={self.fig8_lowest_temperature() * (1 - 1e-9)!r}"
+    @pytest.mark.parametrize("override", ["T=0.002", "outside"])
+    def test_low_temperature_is_a_config_error(self, override, tmp_path, capsys):
+        # cosh(2 beta zeeman) used to overflow into a traceback (exit 1); the
+        # cases fig8-*-below-gibbs-limit check the other fixed temperatures
+        if override == "outside":
+            override = f"T={self.fig8_lowest_temperature() * (1 - 1e-9)!r}"
         code = main(["run", "--scenario", "fig8", "--set", override, "--t-end", "1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -901,6 +904,17 @@ class TestCli:
         assert strict_error(stderr)["message"] == (f"sweep values 0.1000001 and 0.1000002 would "
                                                    f"both be written to {path}")
 
+    def test_missing_scenario_and_config(self, capsys):
+        assert main(["run"]) == 2
+
+    def test_sweep_writes_one_file_per_value(self, tmp_path, capsys):
+        code = main(["sweep", "--scenario", "fig2", "--param", "K",
+                     "--values", "0.1,10", "--t-end", "1",
+                     "--out", str(tmp_path / "base.csv")])
+        assert code == 0
+        assert (tmp_path / "base_K_0.1.csv").exists()
+        assert (tmp_path / "base_K_10.csv").exists()
+
     def test_sweep_runs_and_writes_each_distinct_value_once(self, tmp_path, capsys,
                                                             monkeypatch):
         from spinchannel import runner
@@ -920,6 +934,30 @@ class TestCli:
                          f"wrote {tmp_path / 'run_K_10.csv'}"]
         # the library sweep still gives one result per given value
         assert len(sweep(short(preset_config("fig2"), t_end=0.5), "K", [0.1, 0.1])) == 2
+
+    # Each derived an infinite quantity without raising: D = inf failed later as
+    # an integration error about d1 = inf, and 2 gamma overflowed inside the
+    # rhs into a NaN step size. The other derived overflows are case rows.
+    @pytest.mark.parametrize("scenario, overrides, message", [
+        pytest.param("fig2", ["K=1e300", "omega2=1e10"],
+                     "the coupling D = K |omega1^2 - omega2^2| overflows: OverflowError: D = inf",
+                     id="fig2-overrides0-the coupling D = K |omega1^2 - omega2^2| overflows: "
+                        "OverflowError: D = inf"),
+        pytest.param("fig2", ["gamma=1e308", "F=1"],
+                     "the damping factor 2 gamma overflows: OverflowError: 2 gamma = inf",
+                     id="fig2-overrides5-the damping factor 2 gamma overflows: "
+                        "OverflowError: 2 gamma = inf"),
+    ])
+    def test_non_finite_derived_quantity_is_a_config_error(self, scenario, overrides, message,
+                                                           tmp_path, capsys):
+        argv = ["run", "--scenario", scenario, "--t-end", "1", "--out", str(tmp_path / "x.csv")]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        err = strict_error(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert err["message"] == message
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("scenario, overrides", [
         ("fig2", {"omega1": 1e300}),
@@ -995,6 +1033,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: spinchannel ")
         assert captured.err == ""
+
+    # argparse used to print its usage text and a plain error line to stderr;
+    # the other malformed command lines are case rows
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--scenario", "fig2", "--tol", "abc"],
+         "argument --tol: invalid float value: 'abc'"),
+        (["run"], "one of the arguments --scenario --config is required"),
+    ], ids=["bad-float", "no-source"])
+    def test_malformed_command_line_is_one_config_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = strict_error(captured.err)
+        assert err == {"category": "config", "message": err["message"]}
+        assert err["message"].startswith(message)
 
     def test_scenario_and_config_fail_before_the_file_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
