@@ -92,12 +92,16 @@ def _overrides(args) -> dict[str, object]:
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The configuration of a run: a config file may set fields its run does
+    not read, but each field the command line sets must be read by the final
+    kind of run."""
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
     else:
         cfg = preset_config(args.scenario)
-    return apply_overrides(cfg, _overrides(args)).validate()
+    overrides = _overrides(args)
+    return apply_overrides(cfg, overrides).validate().check_read(*overrides)
 
 
 def _cmd_run(args) -> int:

@@ -9,6 +9,15 @@ parameters are reported with the offending line number.
 ``render_config`` emits a canonical text that parses back to an identical
 configuration.  Config files, ``--set`` and sweeps apply their overrides
 through ``apply_overrides``: giving one of K/D or T/beta resets the other.
+
+Each field also declares the run kinds that read it (HYBRID, QUANTUM or
+BOTH), and ``ScenarioConfig.check_read`` is the one place that answers for
+it, with the one rule that depends on a value: amplitudes are read only with
+state = custom.  The command line checks every field it overrides, and a
+sweep its swept field, so neither can set a field the run ignores.  Config
+files and ``validate`` do not check it: a config file has the form of the
+echo of ``render_config``, which lists every set field, and must keep
+parsing back to the configuration it echoes.
 """
 
 from __future__ import annotations
@@ -57,9 +66,15 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(_float(part) for part in text.split(","))
 
 
-def _key(section: str, key: str, caster, default):
-    """A ScenarioConfig field that ``[section] key`` sets through ``caster``."""
-    return field(default=default, metadata={"key": (section, key, caster)})
+# the run kinds that read a field
+HYBRID, QUANTUM = ("hybrid",), ("quantum",)
+BOTH = HYBRID + QUANTUM
+
+
+def _key(section: str, key: str, caster, default, reads: tuple[str, ...]):
+    """A ScenarioConfig field that ``[section] key`` sets through ``caster``
+    and runs of the kinds ``reads`` read."""
+    return field(default=default, metadata={"key": (section, key, caster), "reads": reads})
 
 
 @dataclass(frozen=True)
@@ -70,36 +85,37 @@ class ScenarioConfig:
     x1(0) = 1 is a package choice, recorded so every run is reproducible.
     """
 
-    name: str = _key("scenario", "name", str, "custom")
-    kind: str = _key("scenario", "kind", str, "hybrid")
-    spin_omega0: float = _key("spin", "omega0", _float, 1.5)
-    spin_g: float = _key("spin", "g", _float, 1.0)
-    alpha: float = _key("spin", "alpha", _float, math.pi / 3)
-    omega1: float = _key("oscillators", "omega1", _float, 1.0)
-    omega2: float = _key("oscillators", "omega2", _float, 1.5)
-    D: float | None = _key("oscillators", "D", _float, None)
-    K: float | None = _key("oscillators", "K", _float, None)
-    xi: float = _key("oscillators", "xi", _float, 0.0)
-    gamma: float = _key("oscillators", "gamma", _float, 0.0)
-    F: float = _key("oscillators", "F", _float, 0.0)  # one common drive on both oscillators
-    Omega: float = _key("oscillators", "Omega", _float, 1.0)
-    q_omega0: float = _key("quantum", "omega0", _float, 3.0)
-    q_omega: float = _key("quantum", "omega", _float, 2.0)
-    q_g: float = _key("quantum", "g", _float, 1.0)
-    n_values: tuple[float, ...] = _key("quantum", "n", _float_list, (0.0,))
-    temperature: float | None = _key("quantum", "T", _float, None)
-    beta: float = _key("quantum", "beta", _float, 0.0)
-    state: str = _key("initial", "state", str, "01")
-    amplitudes: tuple[float, ...] | None = _key("initial", "amplitudes", _float_list, None)
-    x1: float = _key("initial", "x1", _float, 1.0)
-    v1: float = _key("initial", "v1", _float, 0.0)
-    x2: float = _key("initial", "x2", _float, 0.0)
-    v2: float = _key("initial", "v2", _float, 0.0)
-    t_end: float = _key("run", "t_end", _float, 100.0)
-    dt_out: float | None = _key("run", "dt_out", _float, None)
-    tol: float = _key("run", "tol", _float, 1e-9)
-    out_path: str | None = _key("output", "path", str, None)
-    out_format: str = _key("output", "format", str, "csv")
+    name: str = _key("scenario", "name", str, "custom", BOTH)
+    kind: str = _key("scenario", "kind", str, "hybrid", BOTH)
+    spin_omega0: float = _key("spin", "omega0", _float, 1.5, HYBRID)
+    spin_g: float = _key("spin", "g", _float, 1.0, HYBRID)
+    alpha: float = _key("spin", "alpha", _float, math.pi / 3, HYBRID)
+    omega1: float = _key("oscillators", "omega1", _float, 1.0, HYBRID)
+    omega2: float = _key("oscillators", "omega2", _float, 1.5, HYBRID)
+    D: float | None = _key("oscillators", "D", _float, None, HYBRID)
+    K: float | None = _key("oscillators", "K", _float, None, HYBRID)
+    xi: float = _key("oscillators", "xi", _float, 0.0, HYBRID)
+    gamma: float = _key("oscillators", "gamma", _float, 0.0, HYBRID)
+    # one common drive on both oscillators
+    F: float = _key("oscillators", "F", _float, 0.0, HYBRID)
+    Omega: float = _key("oscillators", "Omega", _float, 1.0, HYBRID)
+    q_omega0: float = _key("quantum", "omega0", _float, 3.0, QUANTUM)
+    q_omega: float = _key("quantum", "omega", _float, 2.0, QUANTUM)
+    q_g: float = _key("quantum", "g", _float, 1.0, QUANTUM)
+    n_values: tuple[float, ...] = _key("quantum", "n", _float_list, (0.0,), QUANTUM)
+    temperature: float | None = _key("quantum", "T", _float, None, QUANTUM)
+    beta: float = _key("quantum", "beta", _float, 0.0, QUANTUM)
+    state: str = _key("initial", "state", str, "01", BOTH)
+    amplitudes: tuple[float, ...] | None = _key("initial", "amplitudes", _float_list, None, BOTH)
+    x1: float = _key("initial", "x1", _float, 1.0, HYBRID)
+    v1: float = _key("initial", "v1", _float, 0.0, HYBRID)
+    x2: float = _key("initial", "x2", _float, 0.0, HYBRID)
+    v2: float = _key("initial", "v2", _float, 0.0, HYBRID)
+    t_end: float = _key("run", "t_end", _float, 100.0, BOTH)
+    dt_out: float | None = _key("run", "dt_out", _float, None, BOTH)
+    tol: float = _key("run", "tol", _float, 1e-9, HYBRID)
+    out_path: str | None = _key("output", "path", str, None, BOTH)
+    out_format: str = _key("output", "format", str, "csv", BOTH)
     note: str = ""
 
     # -- derived views -------------------------------------------------------
@@ -161,6 +177,16 @@ class ScenarioConfig:
             fastest = max(abs(self.quantum_params(n).Omega_n) for n in self.n_values)
             return 0.01 / fastest if fastest > 0 else 1.0
         return 0.05
+
+    def check_read(self, *attrs: str) -> "ScenarioConfig":
+        """self, if its run reads every field in attrs; otherwise a ConfigError
+        naming the first field it does not read and the run kind."""
+        for attr in attrs:
+            name, kinds = _READERS[attr]
+            unless = " unless state = custom" if attr == "amplitudes" else ""
+            if self.kind not in kinds or unless and self.state != "custom":
+                raise ConfigError(f"a {self.kind} run does not read {name}{unless}")
+        return self
 
     def validate(self) -> "ScenarioConfig":
         """self, if a run can derive all it needs from it: a ValueError or an overflow
@@ -225,6 +251,10 @@ def _schema() -> dict[str, dict[str, tuple[str, object]]]:
 SCHEMA = _schema()
 
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+# attribute -> ("section.key", the run kinds that read it)
+_READERS = {f.name: ("{}.{}".format(*f.metadata["key"][:2]), f.metadata["reads"])
+            for f in fields(ScenarioConfig) if "key" in f.metadata}
 
 
 def resolve_field(key: str) -> tuple[str, object]:

@@ -39,11 +39,14 @@ class RunResult:
     diagnostics, and wall time."""
 
     config: ScenarioConfig
-    kind: str
     series: TimeSeries | None
     qtable: dict[str, np.ndarray] | None
     diagnostics: dict
     wall_time_s: float
+
+    @property
+    def kind(self) -> str:
+        return self.config.kind
 
     @property
     def config_text(self) -> str:
@@ -93,7 +96,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     else:
         qtable, diagnostics = _run_quantum(cfg)
         series = None
-    return RunResult(config=cfg, kind=cfg.kind, series=series, qtable=qtable,
+    return RunResult(config=cfg, series=series, qtable=qtable,
                      diagnostics=diagnostics, wall_time_s=time.perf_counter() - start)
 
 
@@ -101,11 +104,13 @@ def sweep(cfg: ScenarioConfig, parameter: str, values: list[float]) -> list[RunR
     """Run the scenario once per value of a numeric config field.
 
     Results preserve the order of ``values``; runs are independent (a run
-    failure propagates with the offending value named).
+    failure propagates with the offending value named).  A field that a run
+    of ``cfg`` does not read is rejected before any run.
     """
     attr, caster = resolve_field(parameter)
     if caster is str:
         raise ConfigError(f"{parameter!r} is not a numeric field")
+    cfg.check_read(attr)
     results = []
     for value in values:
         if not isinstance(value, (int, float)):

@@ -225,6 +225,28 @@ CASES = [
               "state=custom requires amplitudes = 8 numbers (Re, Im for each of C1..C4) "
               "(while sweeping amplitudes = 1.0)",
               "the sweep set a list field to a float: a TypeError traceback (exit 1)"),
+    *(_rejected(name, argv, message, why) for name, argv, message, why in (
+        ("sweep-fig2-unread-quantum.g", "sweep --scenario fig2 --param quantum.g --values 1,2 "
+         "--t-end 1", "a hybrid run does not read quantum.g",
+         "a hybrid run never reads [quantum]: two files with the same bytes, exit 0"),
+        ("sweep-fig2-unread-n", "sweep --scenario fig2 --param n --values 1,2 --t-end 1",
+         "a hybrid run does not read quantum.n", "as quantum.g"),
+        ("sweep-fig8-unread-K", "sweep --scenario fig8 --param K --values 1,2 --t-end 1",
+         "a quantum run does not read oscillators.K",
+         "a quantum run never reads [oscillators]: two files with the same bytes, exit 0"),
+        ("sweep-fig2-amplitudes-without-custom-state", "sweep --scenario fig2 --param amplitudes "
+         "--values 1 --t-end 1", "a hybrid run does not read initial.amplitudes unless "
+         "state = custom", "with state = 01 the amplitudes were never read, exit 0"),
+        ("fig8-set-unread-x1", "run --scenario fig8 --set x1=5",
+         "a quantum run does not read initial.x1",
+         "the CSV kept its bytes while the JSON echo said x1 = 5.0, exit 0"),
+        ("fig8-unread-tol-flag", "run --scenario fig8 --tol 1e-3",
+         "a quantum run does not read run.tol",
+         "the closed forms take no tolerance, yet the JSON echo said tol = 0.001, exit 0"))),
+    Case("fig2-set-kind-quantum-reads-quantum.g", "run --scenario fig2 --set kind=quantum "
+         "--set quantum.g=2 --t-end 1 --out {out}/run.csv",
+         "overrides are checked against the final kind, which reads quantum.g",
+         files={"run.csv": 401}),
     Case("fig3-x1-overflows-rhs", "run --scenario fig3 --set x1=1e150 --t-end 1 "
          "--out {out}/run.csv", "the message names the exception class",
          3, "integration failed at t = 0.0: OverflowError: ...", AT_START),

@@ -72,25 +72,30 @@ PRESET_FIELDS = {
                  note="thermal OTOC through the quantum channel at decreasing quantumness"),
 }
 
-# every config key, the ScenarioConfig attribute it sets, and whether it is
-# numeric (a sweep target); the bare keys omega0 and g name two fields each
+# every config key, the ScenarioConfig attribute it sets, whether it is
+# numeric (a sweep target) and the run kinds that read it; the bare keys
+# omega0 and g name two fields each
+H, Q, HQ = ("hybrid",), ("quantum",), ("hybrid", "quantum")
 KEY_FIELDS = {
-    "scenario.name": ("name", False), "scenario.kind": ("kind", False),
-    "spin.omega0": ("spin_omega0", True), "spin.g": ("spin_g", True),
-    "spin.alpha": ("alpha", True),
-    "oscillators.omega1": ("omega1", True), "oscillators.omega2": ("omega2", True),
-    "oscillators.D": ("D", True), "oscillators.K": ("K", True),
-    "oscillators.xi": ("xi", True), "oscillators.gamma": ("gamma", True),
-    "oscillators.F": ("F", True), "oscillators.Omega": ("Omega", True),
-    "quantum.omega0": ("q_omega0", True), "quantum.omega": ("q_omega", True),
-    "quantum.g": ("q_g", True), "quantum.n": ("n_values", True),
-    "quantum.T": ("temperature", True), "quantum.beta": ("beta", True),
-    "initial.state": ("state", False), "initial.amplitudes": ("amplitudes", True),
-    "initial.x1": ("x1", True), "initial.v1": ("v1", True),
-    "initial.x2": ("x2", True), "initial.v2": ("v2", True),
-    "run.t_end": ("t_end", True), "run.dt_out": ("dt_out", True), "run.tol": ("tol", True),
-    "output.path": ("out_path", False), "output.format": ("out_format", False),
+    "scenario.name": ("name", False, HQ), "scenario.kind": ("kind", False, HQ),
+    "spin.omega0": ("spin_omega0", True, H), "spin.g": ("spin_g", True, H),
+    "spin.alpha": ("alpha", True, H),
+    "oscillators.omega1": ("omega1", True, H), "oscillators.omega2": ("omega2", True, H),
+    "oscillators.D": ("D", True, H), "oscillators.K": ("K", True, H),
+    "oscillators.xi": ("xi", True, H), "oscillators.gamma": ("gamma", True, H),
+    "oscillators.F": ("F", True, H), "oscillators.Omega": ("Omega", True, H),
+    "quantum.omega0": ("q_omega0", True, Q), "quantum.omega": ("q_omega", True, Q),
+    "quantum.g": ("q_g", True, Q), "quantum.n": ("n_values", True, Q),
+    "quantum.T": ("temperature", True, Q), "quantum.beta": ("beta", True, Q),
+    "initial.state": ("state", False, HQ), "initial.amplitudes": ("amplitudes", True, HQ),
+    "initial.x1": ("x1", True, H), "initial.v1": ("v1", True, H),
+    "initial.x2": ("x2", True, H), "initial.v2": ("v2", True, H),
+    "run.t_end": ("t_end", True, HQ), "run.dt_out": ("dt_out", True, HQ),
+    "run.tol": ("tol", True, H),
+    "output.path": ("out_path", False, HQ), "output.format": ("out_format", False, HQ),
 }
+# keys that their readers read only when state = custom
+READ_WITH_CUSTOM_STATE_ONLY = {"initial.amplitudes"}
 AMBIGUOUS_BARE_KEYS = {"omega0", "g"}
 
 
@@ -134,17 +139,35 @@ class TestConfigKeys:
         assert {f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys} \
             == set(KEY_FIELDS)
         assert len(KEY_FIELDS) == 30
-        for key, (attr, _) in KEY_FIELDS.items():
+        for key, (attr, *_) in KEY_FIELDS.items():
             assert resolve_field(key)[0] == attr, key
+
+    def test_every_key_names_its_readers(self):
+        for kind in ("hybrid", "quantum"):
+            for state in ("01", "custom"):
+                cfg = ScenarioConfig(kind=kind, state=state)
+                for key, (attr, _, readers) in KEY_FIELDS.items():
+                    custom_only = key in READ_WITH_CUSTOM_STATE_ONLY
+                    if kind in readers and (state == "custom" or not custom_only):
+                        assert cfg.check_read(attr) is cfg, (kind, state, key)
+                        continue
+                    with pytest.raises(ConfigError) as info:
+                        cfg.check_read(attr)
+                    unless = " unless state = custom" if custom_only else ""
+                    assert str(info.value) == f"a {kind} run does not read {key}{unless}"
 
     @pytest.mark.parametrize("key", sorted(KEY_FIELDS))
     def test_numeric_keys_are_the_sweep_targets(self, key):
-        # an empty value list checks the target and runs nothing
-        if KEY_FIELDS[key][1]:
-            assert sweep(preset_config("fig2"), key, []) == []
+        # an empty value list checks the target on a config that reads it, and runs nothing
+        _, numeric, readers = KEY_FIELDS[key]
+        base = preset_config("fig2" if "hybrid" in readers else "fig8")
+        if key in READ_WITH_CUSTOM_STATE_ONLY:
+            base = short(base, state="custom")
+        if numeric:
+            assert sweep(base, key, []) == []
         else:
             with pytest.raises(ConfigError, match="not a numeric field"):
-                sweep(preset_config("fig2"), key, [])
+                sweep(base, key, [])
 
     def test_ambiguous_bare_keys(self):
         bare_keys = {key.split(".", 1)[1] for key in KEY_FIELDS}
@@ -442,7 +465,9 @@ class TestSweep:
     def test_quantum_n_sweep_matches_fig8_family(self):
         base = short(preset_config("fig8"), t_end=3.0, dt_out=1.0)
         results = sweep(base, "quantum.n", [10.0, 100.0])
+        # a swept list field gets its tuple, and the echo parses back
         assert [r.config.n_values for r in results] == [(10.0,), (100.0,)]
+        assert [parse_config(r.config_text) for r in results] == [r.config for r in results]
 
     def test_empty_values(self):
         assert sweep(preset_config("fig2"), "K", []) == []
@@ -459,10 +484,23 @@ class TestSweep:
         assert results[0].config.quantum_params(10.0).beta == 2.0
         assert parse_config(results[0].config_text) == results[0].config
 
-    def test_list_field_sweep_echoes_a_parsable_config(self):
-        (result,) = sweep(short(preset_config("fig2"), t_end=0.0), "amplitudes", [1.0])
-        assert result.config.amplitudes == (1.0,)
-        assert parse_config(result.config_text) == result.config
+    def test_amplitudes_sweep_without_custom_state_is_rejected(self):
+        # with state = 01 the swept amplitudes were never read
+        with pytest.raises(ConfigError, match="^a hybrid run does not read initial.amplitudes "
+                                              "unless state = custom$"):
+            sweep(short(preset_config("fig2"), t_end=0.0), "amplitudes", [1.0])
+
+    def test_unread_field_is_rejected_before_any_run(self, monkeypatch):
+        from spinchannel import runner
+        monkeypatch.setattr(runner, "run_scenario", lambda cfg: pytest.fail("a run started"))
+        # the check runs once, on the base config, so no swept value is named
+        for scenario, key, message in (
+                ("fig2", "quantum.g", "a hybrid run does not read quantum.g"),
+                ("fig8", "K", "a quantum run does not read oscillators.K")):
+            with pytest.raises(ConfigError) as info:
+                sweep(short(preset_config(scenario), t_end=1.0), key, [1.0, 2.0])
+            assert str(info.value) == message
+            assert not hasattr(info.value, "__notes__")
 
     def test_non_numeric_target(self):
         with pytest.raises(ConfigError, match="not a numeric field"):
@@ -537,7 +575,7 @@ def _per_cell_csv(header, columns) -> bytes:
 
 class TestWriteOutput:
     def test_empty_series_header_only(self, tmp_path):
-        res = RunResult(config=preset_config("fig2"), kind="hybrid",
+        res = RunResult(config=preset_config("fig2"),
                         series=_empty_series(), qtable=None, diagnostics={},
                         wall_time_s=0.0)
         path = tmp_path / "empty.csv"
@@ -596,7 +634,7 @@ class TestWriteOutput:
     @example(_edge_columns(_BLOCK_EDGE_ROWS[5]))
     @settings(max_examples=200, deadline=None)
     def test_csv_equals_per_cell_formatting(self, tmp_path_factory, columns):
-        res = RunResult(config=preset_config("fig8"), kind="quantum", series=None,
+        res = RunResult(config=preset_config("fig8"), series=None,
                         qtable=dict(zip(QUANTUM_CSV_HEADER, columns)), diagnostics={},
                         wall_time_s=0.0)
         path = tmp_path_factory.getbasetemp() / "q.csv"
@@ -1067,6 +1105,8 @@ class TestCli:
                    "--out", "{out}/x.csv"])
     @example(argv=["run", "--scenario", "fig2", "--set", "x1=1e300", "--t-end", "0",
                    "--out", "{out}/x.csv"])
+    @example(argv=["sweep", "--scenario", "fig2", "--param", "quantum.g", "--values", "1,2",
+                   "--t-end", "0", "--out", "{out}/x.csv"])
     @example(argv=["sweep", "--scenario", "fig2", "--set", "state=custom",
                    "--set", "amplitudes=1,0,0,0,0,0,0,0", "--param", "amplitudes",
                    "--values", "1", "--t-end", "0", "--out", "{out}/x.csv"])
